@@ -173,7 +173,8 @@ impl PipelineBuilder {
         self
     }
 
-    /// Classification worker threads; 0 = all cores (default 0).
+    /// Worker threads for the snapshot scan and classification; 0 = all
+    /// cores (default 0).
     pub fn threads(mut self, threads: usize) -> Self {
         self.args.threads = threads;
         self
@@ -507,8 +508,12 @@ impl PipelineBuilder {
         }
         let snapshot = {
             let _s = obs.as_ref().map(|r| r.span("run/snapshot"));
-            zmap::scan_all(&mut scenario.network)
+            let blocks = scenario.network.allocated_blocks();
+            zmap::scan_threaded(&mut scenario.network, &blocks, args.threads)
         };
+        if let Some(reg) = obs.as_deref() {
+            reg.counter("snapshot.probes").add(snapshot.probes);
+        }
 
         // Faults switch on only after the snapshot: selection inputs stay
         // identical to a loss-free run, so verdicts compare block-for-block.

@@ -12,10 +12,10 @@ use crate::host::HostKind;
 use crate::route::{FlowKey, NextHop, RouterId};
 use crate::topology::Network;
 use crate::wire::{
-    IcmpEcho, IcmpError, Ipv4Header, WireError, ICMP_DEST_UNREACH, ICMP_ECHO_REQUEST,
-    ICMP_TIME_EXCEEDED,
+    IcmpEcho, IcmpError, Ipv4Header, WireError, ICMP_DEST_UNREACH, ICMP_ECHO_LEN, ICMP_ECHO_REPLY,
+    ICMP_ECHO_REQUEST, ICMP_ERROR_LEN, ICMP_TIME_EXCEEDED, IPV4_HEADER_LEN,
 };
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
 /// Timeout reported when no response arrives, in microseconds.
 pub const TIMEOUT_US: u64 = 2_000_000;
@@ -152,6 +152,7 @@ impl Network {
         let mut hops = 0u32;
         let mut loop_counted = false;
         let link_loss = self.faults.link_loss;
+        let lpm = self.lpm_index();
         loop {
             hops += 1;
             if hops > MAX_HOPS {
@@ -178,10 +179,10 @@ impl Network {
             if ttl == 0 {
                 return Outcome::Expired { at: cur, hops };
             }
-            let router = self.router(cur);
-            let Some((_, group)) = router.table.lookup(key.dst) else {
+            let Some(entry) = lpm[cur.0 as usize].lookup(key.dst) else {
                 return Outcome::NoRoute { at: cur, hops };
             };
+            let (_, group) = self.router(cur).table.entry(entry);
             // Dynamics: the event schedule perturbs selection at this
             // router, never the route table (tables stay immutable — all
             // evolution is a pure function of (schedule, epoch, flow)).
@@ -365,14 +366,14 @@ impl Network {
             protocol: 1,
             ident: (nonce & 0xffff) as u16,
         };
-        let mut buf = BytesMut::new();
-        outer.encode(&mut buf);
-        err.encode(&mut buf);
+        let mut wire = [0u8; IPV4_HEADER_LEN + ICMP_ERROR_LEN];
+        wire[..IPV4_HEADER_LEN].copy_from_slice(&outer.to_bytes());
+        wire[IPV4_HEADER_LEN..].copy_from_slice(&err.to_bytes());
         let rtt = self
             .rtt
             .rtt_us(router.addr, hops, 0, HostKind::Server, false, nonce);
         Delivery {
-            response: Some(buf.freeze()),
+            response: Some(Bytes::copy_from_slice(&wire)),
             rtt_us: rtt,
         }
     }
@@ -425,11 +426,8 @@ impl Network {
             protocol: 1,
             ident: (nonce >> 16 & 0xffff) as u16,
         };
-        let mut buf = BytesMut::new();
-        outer.encode(&mut buf);
-        probe_echo.encode_reply(&mut buf);
         Delivery {
-            response: Some(buf.freeze()),
+            response: Some(echo_packet(&outer, probe_echo, ICMP_ECHO_REPLY)),
             rtt_us: rtt,
         }
     }
@@ -496,10 +494,16 @@ pub fn encode_probe(
         ident: ip_ident,
     };
     let echo = IcmpEcho::with_checksum(ident, seq, flow_label);
-    let mut buf = BytesMut::new();
-    ip.encode(&mut buf);
-    echo.encode_request(&mut buf);
-    buf.freeze()
+    echo_packet(&ip, &echo, ICMP_ECHO_REQUEST)
+}
+
+/// An IPv4 packet carrying an echo message, built on the stack and copied
+/// out in one allocation.
+fn echo_packet(ip: &Ipv4Header, echo: &IcmpEcho, icmp_type: u8) -> Bytes {
+    let mut wire = [0u8; IPV4_HEADER_LEN + ICMP_ECHO_LEN];
+    wire[..IPV4_HEADER_LEN].copy_from_slice(&ip.to_bytes());
+    wire[IPV4_HEADER_LEN..].copy_from_slice(&echo.to_bytes(icmp_type));
+    Bytes::copy_from_slice(&wire)
 }
 
 #[cfg(test)]
@@ -508,7 +512,6 @@ mod tests {
     use crate::addr::Prefix;
     use crate::host::HostProfile;
     use crate::route::{LbPolicy, NextHopGroup};
-    use crate::wire::ICMP_ECHO_REPLY;
 
     /// vantage -> r0 -> r1 -> r2(deliver 10.0.0.0/24)
     fn chain() -> Network {

@@ -204,6 +204,12 @@ impl RouteTable {
 
     /// Longest-prefix-match lookup.
     pub fn lookup(&self, dst: Addr) -> Option<(Prefix, &NextHopGroup)> {
+        self.lookup_index(dst).map(|i| self.entry(i))
+    }
+
+    /// Longest-prefix match by trie descent: the matching entry's index in
+    /// [`RouteTable::iter`] order.
+    fn lookup_index(&self, dst: Addr) -> Option<usize> {
         let mut node = 0usize;
         let mut best = self.nodes[0].entry;
         for depth in 0..32 {
@@ -218,10 +224,47 @@ impl RouteTable {
                 None => break,
             }
         }
-        best.map(|i| {
-            let (p, ref g) = self.entries[i as usize];
-            (p, g)
-        })
+        best.map(|i| i as usize)
+    }
+
+    /// The entry at `index` in [`RouteTable::iter`] order.
+    ///
+    /// # Panics
+    /// Panics if `index >= self.len()`.
+    pub fn entry(&self, index: usize) -> (Prefix, &NextHopGroup) {
+        let (p, ref g) = self.entries[index];
+        (p, g)
+    }
+
+    /// Compile the table into a [`FlatTable`]: the address space cut at
+    /// every prefix boundary, each piece labelled with its longest match.
+    ///
+    /// No prefix starts or ends strictly inside a piece, so one trie lookup
+    /// at a piece's first address answers for the whole piece. Adjacent
+    /// pieces with the same answer are merged.
+    pub fn flatten(&self) -> FlatTable {
+        let mut bounds = Vec::with_capacity(2 * self.entries.len() + 1);
+        bounds.push(0u32);
+        for (p, _) in &self.entries {
+            bounds.push(p.first().0);
+            if let Some(after) = p.last().0.checked_add(1) {
+                bounds.push(after);
+            }
+        }
+        bounds.sort_unstable();
+        bounds.dedup();
+        let mut intervals: Vec<(u32, u32)> = Vec::with_capacity(bounds.len());
+        for start in bounds {
+            let entry = self
+                .lookup_index(Addr(start))
+                .map_or(NO_ROUTE, |i| i as u32);
+            if intervals.last().map(|&(_, e)| e) != Some(entry) {
+                intervals.push((start, entry));
+            }
+        }
+        FlatTable {
+            intervals: intervals.into_boxed_slice(),
+        }
     }
 
     /// Iterate over all installed entries in insertion order.
@@ -230,13 +273,42 @@ impl RouteTable {
     }
 
     /// Reference LPM by linear scan; used by property tests to cross-check
-    /// the trie.
+    /// the trie and the flat index.
     pub fn lookup_linear(&self, dst: Addr) -> Option<(Prefix, &NextHopGroup)> {
         self.entries
             .iter()
             .filter(|(p, _)| p.contains(dst))
             .max_by_key(|(p, _)| p.len())
             .map(|(p, g)| (*p, g))
+    }
+}
+
+/// Interval label for addresses no entry covers.
+const NO_ROUTE: u32 = u32::MAX;
+
+/// A [`RouteTable`] compiled for forwarding ([`RouteTable::flatten`]):
+/// sorted, disjoint `(first address, entry index)` intervals covering the
+/// whole address space, so longest-prefix match is one binary search
+/// instead of a bit-by-bit trie descent.
+///
+/// The intervals are a snapshot: a later insert into the table is not
+/// reflected until the table is flattened again.
+#[derive(Clone, Debug)]
+pub struct FlatTable {
+    intervals: Box<[(u32, u32)]>,
+}
+
+impl FlatTable {
+    /// Longest-prefix match: the matching entry's index in
+    /// [`RouteTable::iter`] order (see [`RouteTable::entry`]).
+    pub fn lookup(&self, dst: Addr) -> Option<usize> {
+        // The first interval starts at address 0, so at least one start
+        // is `<= dst` and the subtraction never wraps.
+        let i = self.intervals.partition_point(|&(start, _)| start <= dst.0) - 1;
+        match self.intervals[i].1 {
+            NO_ROUTE => None,
+            entry => Some(entry as usize),
+        }
     }
 }
 

@@ -11,11 +11,12 @@ use crate::dynamics::{DynamicsConfig, DynamicsCounters, DynamicsEvent, VirtualCl
 use crate::fault::{FaultConfig, FaultCounters, NetworkStats, TokenBuckets};
 use crate::hash::mix2;
 use crate::host::{HostOracle, HostProfile};
-use crate::route::{NextHop, NextHopGroup, RouteTable, RouterId};
+use crate::route::{FlatTable, NextHop, NextHopGroup, RouteTable, RouterId};
 use crate::rtt::RttModel;
 use obs::{Counter, Recorder};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// A router in the simulated internet.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -66,6 +67,10 @@ impl Router {
 #[derive(Debug)]
 pub struct Network {
     pub(crate) routers: Vec<Router>,
+    /// Every router's table compiled for forwarding, indexed by router id.
+    /// Built on the first probe ([`Network::lpm_index`]) so building a
+    /// world pays nothing for it; every way to edit a table drops it.
+    lpm: OnceLock<Vec<FlatTable>>,
     pub(crate) vantage_addr: Addr,
     pub(crate) vantage_router: RouterId,
     /// Additional vantage points (source address → first-hop router).
@@ -102,6 +107,7 @@ impl Clone for Network {
     fn clone(&self) -> Self {
         Network {
             routers: self.routers.clone(),
+            lpm: self.lpm.clone(),
             vantage_addr: self.vantage_addr,
             vantage_router: self.vantage_router,
             extra_vantages: self.extra_vantages.clone(),
@@ -129,6 +135,7 @@ impl Network {
     pub fn new(seed: u64, vantage_addr: Addr) -> Self {
         Network {
             routers: Vec::new(),
+            lpm: OnceLock::new(),
             vantage_addr,
             vantage_router: RouterId(0),
             extra_vantages: Vec::new(),
@@ -151,6 +158,7 @@ impl Network {
 
     /// Add a router and return its id. Ids are assigned densely in order.
     pub fn add_router(&mut self, addr: Addr) -> RouterId {
+        self.lpm.take();
         let id = RouterId(self.routers.len() as u32);
         self.routers.push(Router::new(id, addr));
         id
@@ -158,6 +166,7 @@ impl Network {
 
     /// Mutable access to a router (to install routes or toggle flags).
     pub fn router_mut(&mut self, id: RouterId) -> &mut Router {
+        self.lpm.take();
         &mut self.routers[id.0 as usize]
     }
 
@@ -326,9 +335,22 @@ impl Network {
         self.probes_carried.get()
     }
 
+    /// Number of cellular addresses whose radios a probe has woken since
+    /// the last epoch change.
+    pub fn warmed_count(&self) -> usize {
+        self.warmed.len()
+    }
+
     /// Record one carried probe (thread-safe; called from `send`).
     pub(crate) fn record_carried_probe(&self) {
         self.probes_carried.inc();
+    }
+
+    /// The forwarding index: each router's table flattened, compiled on
+    /// first use (concurrent first probes wait for one build).
+    pub(crate) fn lpm_index(&self) -> &[FlatTable] {
+        self.lpm
+            .get_or_init(|| self.routers.iter().map(|r| r.table.flatten()).collect())
     }
 
     /// Per-router ECMP salt.

@@ -37,25 +37,32 @@ pub struct Ipv4Header {
 pub const IPV4_HEADER_LEN: usize = 20;
 /// Fixed size of an ICMP echo header.
 pub const ICMP_ECHO_HEADER_LEN: usize = 8;
+/// Size of a serialized echo message: the header plus the two tweak bytes.
+pub(crate) const ICMP_ECHO_LEN: usize = ICMP_ECHO_HEADER_LEN + 2;
+/// Size of a serialized ICMP error: its own 8-byte header, the quoted IPv4
+/// header and the first 8 bytes of the quoted echo.
+pub(crate) const ICMP_ERROR_LEN: usize = 8 + IPV4_HEADER_LEN + ICMP_ECHO_HEADER_LEN;
 
 impl Ipv4Header {
+    /// The header's wire bytes (standard layout, version/IHL fixed, no
+    /// options), checksum included.
+    pub(crate) fn to_bytes(self) -> [u8; IPV4_HEADER_LEN] {
+        let mut b = [0u8; IPV4_HEADER_LEN];
+        b[0] = 0x45; // version 4, IHL 5; DSCP/ECN and total length stay 0
+        b[4..6].copy_from_slice(&self.ident.to_be_bytes());
+        // Flags/fragment offset stay 0.
+        b[8] = self.ttl;
+        b[9] = self.protocol;
+        b[12..16].copy_from_slice(&self.src.0.to_be_bytes());
+        b[16..20].copy_from_slice(&self.dst.0.to_be_bytes());
+        let sum = internet_checksum(&b);
+        b[10..12].copy_from_slice(&sum.to_be_bytes());
+        b
+    }
+
     /// Serialize into `buf` (standard layout, version/IHL fixed, no options).
     pub fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(0x45); // version 4, IHL 5
-        buf.put_u8(0); // DSCP/ECN
-        buf.put_u16(0); // total length backfilled by caller if needed
-        buf.put_u16(self.ident);
-        buf.put_u16(0); // flags/fragment offset
-        buf.put_u8(self.ttl);
-        buf.put_u8(self.protocol);
-        buf.put_u16(0); // header checksum (recomputed below)
-        buf.put_u32(self.src.0);
-        buf.put_u32(self.dst.0);
-        // Backfill the header checksum over the 20 bytes just written.
-        let start = buf.len() - IPV4_HEADER_LEN;
-        let sum = internet_checksum(&buf[start..]);
-        buf[start + 10] = (sum >> 8) as u8;
-        buf[start + 11] = (sum & 0xff) as u8;
+        buf.put_slice(&self.to_bytes());
     }
 
     /// Parse a header from the front of `buf`, validating the checksum.
@@ -63,8 +70,7 @@ impl Ipv4Header {
         if buf.remaining() < IPV4_HEADER_LEN {
             return Err(WireError::Truncated);
         }
-        let header = buf.slice(..IPV4_HEADER_LEN);
-        if internet_checksum(&header) != 0 {
+        if internet_checksum(&buf[..IPV4_HEADER_LEN]) != 0 {
             return Err(WireError::BadChecksum);
         }
         let vihl = buf.get_u8();
@@ -112,9 +118,8 @@ impl IcmpEcho {
     ///
     /// This is the "flow identifier" a per-flow load balancer observes.
     pub fn wire_checksum(&self, icmp_type: u8) -> u16 {
-        let mut buf = BytesMut::with_capacity(ICMP_ECHO_HEADER_LEN + 2);
-        self.encode_with_type(icmp_type, &mut buf);
-        u16::from_be_bytes([buf[2], buf[3]])
+        let b = self.to_bytes(icmp_type);
+        u16::from_be_bytes([b[2], b[3]])
     }
 
     /// Choose `tweak` so that the encoded checksum equals `target`.
@@ -144,36 +149,35 @@ impl IcmpEcho {
         echo
     }
 
-    fn encode_with_type(&self, icmp_type: u8, buf: &mut BytesMut) {
-        let start = buf.len();
-        buf.put_u8(icmp_type);
-        buf.put_u8(0); // code
-        buf.put_u16(0); // checksum, backfilled
-        buf.put_u16(self.ident);
-        buf.put_u16(self.seq);
-        buf.put_u16(self.tweak);
-        let sum = internet_checksum(&buf[start..]);
-        buf[start + 2] = (sum >> 8) as u8;
-        buf[start + 3] = (sum & 0xff) as u8;
+    /// The message's wire bytes with the given type byte (code 0),
+    /// checksum included.
+    pub(crate) fn to_bytes(self, icmp_type: u8) -> [u8; ICMP_ECHO_LEN] {
+        let mut b = [0u8; ICMP_ECHO_LEN];
+        b[0] = icmp_type;
+        b[4..6].copy_from_slice(&self.ident.to_be_bytes());
+        b[6..8].copy_from_slice(&self.seq.to_be_bytes());
+        b[8..10].copy_from_slice(&self.tweak.to_be_bytes());
+        let sum = internet_checksum(&b);
+        b[2..4].copy_from_slice(&sum.to_be_bytes());
+        b
     }
 
     /// Serialize as an echo request.
     pub fn encode_request(&self, buf: &mut BytesMut) {
-        self.encode_with_type(ICMP_ECHO_REQUEST, buf);
+        buf.put_slice(&self.to_bytes(ICMP_ECHO_REQUEST));
     }
 
     /// Serialize as an echo reply.
     pub fn encode_reply(&self, buf: &mut BytesMut) {
-        self.encode_with_type(ICMP_ECHO_REPLY, buf);
+        buf.put_slice(&self.to_bytes(ICMP_ECHO_REPLY));
     }
 
     /// Parse an echo message; returns `(icmp_type, echo)`.
     pub fn decode(buf: &mut Bytes) -> Result<(u8, IcmpEcho), WireError> {
-        if buf.remaining() < ICMP_ECHO_HEADER_LEN + 2 {
+        if buf.remaining() < ICMP_ECHO_LEN {
             return Err(WireError::Truncated);
         }
-        let msg = buf.slice(..ICMP_ECHO_HEADER_LEN + 2);
-        if internet_checksum(&msg) != 0 {
+        if internet_checksum(&buf[..ICMP_ECHO_LEN]) != 0 {
             return Err(WireError::BadChecksum);
         }
         let icmp_type = buf.get_u8();
@@ -203,31 +207,31 @@ pub struct IcmpError {
 }
 
 impl IcmpError {
+    /// The message's wire bytes: type/code/checksum/unused + quoted IP
+    /// header + the quoted echo's first 8 bytes, checksum included.
+    pub(crate) fn to_bytes(&self) -> [u8; ICMP_ERROR_LEN] {
+        let mut b = [0u8; ICMP_ERROR_LEN];
+        b[0] = self.icmp_type; // code, checksum and unused stay 0 for now
+        b[8..8 + IPV4_HEADER_LEN].copy_from_slice(&self.quoted.to_bytes());
+        // First 8 bytes of the quoted ICMP message (header only, minus tweak).
+        b[8 + IPV4_HEADER_LEN..]
+            .copy_from_slice(&self.quoted_echo.to_bytes(self.quoted_type)[..ICMP_ECHO_HEADER_LEN]);
+        let sum = internet_checksum(&b);
+        b[2..4].copy_from_slice(&sum.to_be_bytes());
+        b
+    }
+
     /// Serialize: type/code/checksum/unused + quoted IP header + 8 bytes.
     pub fn encode(&self, buf: &mut BytesMut) {
-        let start = buf.len();
-        buf.put_u8(self.icmp_type);
-        buf.put_u8(0); // code
-        buf.put_u16(0); // checksum backfilled
-        buf.put_u32(0); // unused
-        self.quoted.encode(buf);
-        // First 8 bytes of the quoted ICMP message (header only, minus tweak).
-        let mut inner = BytesMut::new();
-        self.quoted_echo
-            .encode_with_type(self.quoted_type, &mut inner);
-        buf.put_slice(&inner[..ICMP_ECHO_HEADER_LEN]);
-        let sum = internet_checksum(&buf[start..]);
-        buf[start + 2] = (sum >> 8) as u8;
-        buf[start + 3] = (sum & 0xff) as u8;
+        buf.put_slice(&self.to_bytes());
     }
 
     /// Parse an ICMP error message and its quoted probe.
     pub fn decode(buf: &mut Bytes) -> Result<IcmpError, WireError> {
-        let need = 8 + IPV4_HEADER_LEN + ICMP_ECHO_HEADER_LEN;
-        if buf.remaining() < need {
+        if buf.remaining() < ICMP_ERROR_LEN {
             return Err(WireError::Truncated);
         }
-        if internet_checksum(&buf.slice(..need)) != 0 {
+        if internet_checksum(&buf[..ICMP_ERROR_LEN]) != 0 {
             return Err(WireError::BadChecksum);
         }
         let icmp_type = buf.get_u8();

@@ -342,6 +342,15 @@ impl<'n> Prober<'n> {
         p
     }
 
+    /// Continue the probe numbering from `n`: the next probe carries
+    /// sequence number and IP ident `n + 1`, as if `n` probes had already
+    /// been sent. Lets a scan split over workers stamp each probe with the
+    /// bytes a single serial prober would have used.
+    pub(crate) fn set_counters(&mut self, n: u16) {
+        self.seq = n;
+        self.ip_ident = n;
+    }
+
     /// The source address this prober stamps on probes.
     pub fn source(&self) -> Addr {
         self.source

@@ -10,6 +10,7 @@ use crate::prober::{ProbeReply, Prober};
 use netsim::{Addr, Block24, Network};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The snapshot of responsive addresses, grouped by /24.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -39,56 +40,97 @@ impl ZmapSnapshot {
     }
 }
 
-/// Scan every address of the given blocks with an existing prober, at
-/// whatever epoch the prober's transport is currently in.
-///
-/// This is the transport-generic core of the scan: the prober may sit on an
-/// exclusive network, a shared borrow, or a replay log. One probe per
-/// address (ZMap is one-shot), TTL 64; the prober's retry setting is
-/// forced to 0 for the duration and restored afterwards.
-pub fn scan_with(prober: &mut Prober<'_>, blocks: &[Block24]) -> ZmapSnapshot {
-    let saved_retries = prober.retries;
-    let probes_before = prober.probes_sent();
-    prober.retries = 0;
-    let mut snapshot = ZmapSnapshot::default();
-    for &block in blocks {
-        let mut hits = Vec::new();
-        for host in 1u8..=254 {
-            let dst = block.addr(host);
-            if let ProbeReply::Echo { from, .. } = prober.probe(dst, 64, 0).reply {
-                if from == dst {
-                    hits.push(dst);
-                }
-            }
-        }
-        if !hits.is_empty() {
-            snapshot.active.insert(block, hits);
-        }
-    }
-    snapshot.probes = prober.probes_sent() - probes_before;
-    prober.retries = saved_retries;
-    snapshot
-}
+/// ICMP ident the scanner stamps on its probes.
+const SCAN_IDENT: u16 = 0x5CA0;
+
+/// Addresses probed per /24 (hosts 1..=254).
+const HOSTS_PER_BLOCK: usize = 254;
+
+/// Blocks a scan worker claims at a time from the shared cursor.
+const CHUNK_BLOCKS: usize = 32;
 
 /// Scan every address of the given blocks at the snapshot epoch (0),
-/// restoring the network's current epoch afterwards.
+/// restoring the network's current epoch afterwards, on all cores.
 ///
 /// Uses a single probe per address (ZMap is one-shot), TTL 64.
 pub fn scan(net: &mut Network, blocks: &[Block24]) -> ZmapSnapshot {
+    scan_threaded(net, blocks, 0)
+}
+
+/// Scan all allocated blocks of the network, on all cores.
+pub fn scan_all(net: &mut Network) -> ZmapSnapshot {
+    let blocks = net.allocated_blocks();
+    scan(net, &blocks)
+}
+
+/// [`scan`] on `threads` worker threads (0 = all cores).
+///
+/// Workers claim contiguous chunks of `blocks` from an atomic cursor and
+/// probe them over the shared network. The result does not depend on
+/// `threads`: each chunk's prober starts at the sequence and IP-ident
+/// counters a serial scan would have reached there, so every probe carries
+/// the bytes it would carry in a serial scan; and the network state a probe
+/// can meet (token buckets and virtual clocks keyed by `(ident, dst /24)`,
+/// the warm-up set keyed by address) belongs to one /24, which one worker
+/// scans in host order.
+pub fn scan_threaded(net: &mut Network, blocks: &[Block24], threads: usize) -> ZmapSnapshot {
     let saved_epoch = net.epoch();
     net.set_epoch(0);
-    let mut prober = Prober::new(net, 0x5CA0);
-    let mut snapshot = scan_with(&mut prober, blocks);
+    let mut snapshot = scan_shared(net, blocks, threads);
     snapshot.epoch = 0;
-    drop(prober);
     net.set_epoch(saved_epoch);
     snapshot
 }
 
-/// Scan all allocated blocks of the network.
-pub fn scan_all(net: &mut Network) -> ZmapSnapshot {
-    let blocks = net.allocated_blocks();
-    scan(net, &blocks)
+/// The scan proper, over a network already at the snapshot epoch.
+fn scan_shared(net: &Network, blocks: &[Block24], threads: usize) -> ZmapSnapshot {
+    let chunks = blocks.len().div_ceil(CHUNK_BLOCKS);
+    let threads = if threads == 0 {
+        std::thread::available_parallelism().map_or(4, |n| n.get())
+    } else {
+        threads
+    }
+    .clamp(1, chunks.max(1));
+    let cursor = AtomicUsize::new(0);
+    let worker = || {
+        let mut hits = Vec::new();
+        let mut probes = 0;
+        loop {
+            let first = cursor.fetch_add(1, Ordering::Relaxed) * CHUNK_BLOCKS;
+            if first >= blocks.len() {
+                break;
+            }
+            let chunk = &blocks[first..(first + CHUNK_BLOCKS).min(blocks.len())];
+            let mut prober = Prober::over(net, SCAN_IDENT);
+            prober.retries = 0;
+            // Truncation is the point: a serial prober's u16 counters wrap.
+            prober.set_counters((first * HOSTS_PER_BLOCK) as u16);
+            for &block in chunk {
+                let active: Vec<Addr> = (1u8..=254)
+                    .map(|host| block.addr(host))
+                    .filter(|&dst| {
+                        matches!(prober.probe(dst, 64, 0).reply,
+                                 ProbeReply::Echo { from, .. } if from == dst)
+                    })
+                    .collect();
+                if !active.is_empty() {
+                    hits.push((block, active));
+                }
+            }
+            probes += prober.probes_sent();
+        }
+        (hits, probes)
+    };
+    let mut snapshot = ZmapSnapshot::default();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
+        for w in workers {
+            let (hits, probes) = w.join().expect("scan worker panicked");
+            snapshot.active.extend(hits);
+            snapshot.probes += probes;
+        }
+    });
+    snapshot
 }
 
 #[cfg(test)]

@@ -59,6 +59,7 @@ fn metrics_document_schema_is_pinned() {
         "net.link_drops",
         "net.rate_limited_drops",
         "net.icmp_loss_drops",
+        "snapshot.probes",
         "select.selected",
         "select.reject_too_few",
         "select.reject_uncovered",
@@ -112,6 +113,15 @@ fn metrics_document_schema_is_pinned() {
         p.measurements.len() as u64
     );
     assert_eq!(reg.counter("calibrate.probes").get(), p.calibration_probes);
+
+    // Every probe the network carried is attributed: the snapshot scan's
+    // to `snapshot.probes`, every later phase's to `probe.sent`.
+    assert_eq!(reg.counter("snapshot.probes").get(), p.snapshot.probes);
+    assert_eq!(
+        reg.counter("snapshot.probes").get() + reg.counter("probe.sent").get(),
+        reg.counter("net.probes_carried").get(),
+        "snapshot + prober probes must reconcile with the network's count"
+    );
 }
 
 #[test]

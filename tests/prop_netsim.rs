@@ -1,11 +1,13 @@
-//! Property tests for the simulator substrate: LPM trie correctness, wire
-//! roundtrips, and forwarding invariants.
+//! Property tests for the simulator substrate: LPM trie and flat-index
+//! correctness, wire roundtrips, and forwarding invariants.
 
 use netsim::addr::{Addr, Prefix};
 use netsim::build::{build, ScenarioConfig};
 use netsim::forward::encode_probe;
+use netsim::host::HostProfile;
 use netsim::route::{NextHop, NextHopGroup, RouteTable, RouterId};
-use netsim::wire::{IcmpEcho, Ipv4Header, ICMP_ECHO_REQUEST};
+use netsim::wire::{IcmpEcho, Ipv4Header, ICMP_DEST_UNREACH, ICMP_ECHO_REPLY, ICMP_ECHO_REQUEST};
+use netsim::Network;
 use proptest::prelude::*;
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
@@ -13,25 +15,49 @@ fn arb_prefix() -> impl Strategy<Value = Prefix> {
 }
 
 proptest! {
-    /// The binary trie agrees with a brute-force linear scan on random
-    /// tables: longest-prefix-match is exact.
+    /// The binary trie and the flat forwarding index both agree with a
+    /// brute-force linear scan on random tables: longest-prefix-match is
+    /// exact. Besides random prefixes, each table holds the cases interval
+    /// compilation can get wrong — an optional default route, a /32 host
+    /// route, prefixes nested inside earlier ones, and a prefix replaced
+    /// by a second insert — and the lookups hit every prefix's edges.
     #[test]
     fn trie_matches_linear_scan(
         entries in proptest::collection::vec(arb_prefix(), 1..40),
+        nested in proptest::collection::vec((any::<u32>(), 1u8..=32, any::<u32>()), 0..8),
+        default_route in any::<bool>(),
         lookups in proptest::collection::vec(any::<u32>(), 1..40),
     ) {
+        let mut prefixes = entries.clone();
+        for &(pick, extra, bits) in &nested {
+            let outer = prefixes[pick as usize % prefixes.len()];
+            let host_bits = u32::MAX.checked_shr(outer.len() as u32).unwrap_or(0);
+            let len = (outer.len() + extra).min(32);
+            prefixes.push(Prefix::new(Addr(outer.base().0 | (bits & host_bits)), len));
+        }
+        if default_route {
+            prefixes.push(Prefix::ALL);
+        }
+        prefixes.push(Prefix::new(Addr(lookups[0]), 32));
+        // A route update: the first prefix again, with a new next hop.
+        prefixes.push(prefixes[0]);
+
         let mut table = RouteTable::new();
-        for (i, p) in entries.iter().enumerate() {
+        for (i, p) in prefixes.iter().enumerate() {
             table.insert(*p, NextHopGroup::single(NextHop::Router(RouterId(i as u32))));
         }
-        for dst in lookups {
+        let flat = table.flatten();
+        let edges = prefixes.iter().flat_map(|p| {
+            let (first, last) = (p.first().0, p.last().0);
+            [first, last, first.wrapping_sub(1), last.wrapping_add(1)]
+        });
+        for dst in lookups.iter().copied().chain(edges) {
             let a = Addr(dst);
-            let fast = table.lookup(a).map(|(p, g)| (p, g.hops()[0]));
+            let trie = table.lookup(a).map(|(p, g)| (p, g.hops()[0]));
+            let flat = flat.lookup(a).map(|i| table.entry(i)).map(|(p, g)| (p, g.hops()[0]));
             let slow = table.lookup_linear(a).map(|(p, g)| (p, g.hops()[0]));
-            // Both must agree on the matched prefix *length* (two inserted
-            // prefixes with equal base/len replace each other).
-            prop_assert_eq!(fast.map(|(p, _)| p), slow.map(|(p, _)| p));
-            prop_assert_eq!(fast.map(|(_, h)| h), slow.map(|(_, h)| h));
+            prop_assert_eq!(trie, slow);
+            prop_assert_eq!(flat, slow);
         }
     }
 
@@ -80,6 +106,68 @@ proptest! {
 /// file — the macro-generated ones and these — uniformly.
 fn sweep_budget(divisor: usize, floor: usize) -> usize {
     proptest::cases().div_ceil(divisor).max(floor)
+}
+
+/// Editing a table after the first probe invalidates the forwarding
+/// index: a route installed, a table edited through `router_mut`, or a
+/// router added after a `send` is seen by the next `send`.
+#[test]
+fn routes_installed_after_the_first_send_are_seen() {
+    let mut net = Network::new(3, Addr::new(192, 0, 2, 1));
+    let r0 = net.add_router(Addr::new(10, 255, 0, 1));
+    let r1 = net.add_router(Addr::new(10, 255, 0, 2));
+    let block: Prefix = "10.0.0.0/24".parse().unwrap();
+    net.install_route(r0, block, NextHopGroup::single(NextHop::Router(r1)));
+    net.install_route(r1, block, NextHopGroup::single(NextHop::Deliver));
+    let profile = HostProfile {
+        density: 1.0,
+        churn: 0.0,
+        ..HostProfile::default()
+    };
+    net.set_block_profile(block.base().block24(), profile);
+    let reply_type = |net: &Network, dst: Addr| -> Option<u8> {
+        let probe = encode_probe(net.vantage_addr(), dst, 64, 7, 1, 0xAAAA, 1);
+        let mut wire = net.send(probe).unwrap().response?;
+        Ipv4Header::decode(&mut wire).unwrap();
+        Some(wire[0])
+    };
+    let dst = Addr::new(10, 0, 1, 5);
+    assert_eq!(
+        reply_type(&net, dst),
+        Some(ICMP_DEST_UNREACH),
+        "not routed yet"
+    );
+
+    let other: Prefix = "10.0.1.0/24".parse().unwrap();
+    net.install_route(r0, other, NextHopGroup::single(NextHop::Router(r1)));
+    net.set_block_profile(other.base().block24(), profile);
+    assert_eq!(
+        reply_type(&net, dst),
+        Some(ICMP_DEST_UNREACH),
+        "r1 has no route"
+    );
+    net.router_mut(r1)
+        .table
+        .insert(other, NextHopGroup::single(NextHop::Deliver));
+    assert_eq!(
+        reply_type(&net, dst),
+        Some(ICMP_ECHO_REPLY),
+        "edited via router_mut"
+    );
+
+    let r2 = net.add_router(Addr::new(10, 255, 0, 3));
+    net.install_route(r1, other, NextHopGroup::single(NextHop::Router(r2)));
+    assert_eq!(
+        reply_type(&net, dst),
+        Some(ICMP_DEST_UNREACH),
+        "r2 is new and empty"
+    );
+    net.install_route(r2, other, NextHopGroup::single(NextHop::Deliver));
+    assert_eq!(
+        reply_type(&net, dst),
+        Some(ICMP_ECHO_REPLY),
+        "route on the new router"
+    );
 }
 
 /// Forwarding invariants on a built scenario (fixed seed, sampled dests).
