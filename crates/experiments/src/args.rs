@@ -30,15 +30,6 @@ pub struct ExpArgs {
     /// Per-block watchdog deadline in seconds; a block past its budget is
     /// cancelled cooperatively, requeued, and eventually quarantined.
     pub deadline: Option<f64>,
-    /// Run as a sharded-run coordinator: partition the selected blocks
-    /// into this many shard leases under `--run-dir` and spawn one worker
-    /// process per shard. Conflicts with `--resume` (re-running the
-    /// coordinator on the same run dir *is* the resume path) and with
-    /// `--shard`.
-    pub shards: Option<usize>,
-    /// Run as shard worker with this index (spawned by the coordinator;
-    /// the lease file under `--run-dir` carries every other knob).
-    pub shard: Option<usize>,
     /// Probe with the MDA-Lite stopping discipline instead of the full
     /// classic ladder: a block's last-hop diamond is confirmed once, later
     /// destinations stop early, and inconsistent flow-label evidence
@@ -54,13 +45,12 @@ pub struct ExpArgs {
     /// `None` keeps the world static.
     pub dynamics: Option<(f64, u64)>,
     /// Storage chaos `(seed, rate)`: route every run-dir filesystem
-    /// operation (journal, leases, heartbeats, report) through a seeded
-    /// fault-injecting VFS that returns ENOSPC/EIO, short writes, torn
-    /// renames, and lying fsyncs at the given per-operation probability.
+    /// operation (the journal's creates, appends, fsyncs, and reads)
+    /// through a seeded fault-injecting VFS that returns ENOSPC/EIO, short
+    /// writes, and lying fsyncs at the given per-operation probability.
     /// The run must then either finish with a byte-identical report or
-    /// fail with a typed storage error — never corrupt silently. On a
-    /// sharded run each shard gets a decorrelated schedule derived from
-    /// the seed. `None` leaves storage faithful.
+    /// fail with a typed storage error — never corrupt silently. `None`
+    /// leaves storage faithful.
     pub storage_chaos: Option<(u64, f64)>,
 }
 
@@ -77,8 +67,6 @@ impl Default for ExpArgs {
             run_dir: None,
             resume: false,
             deadline: None,
-            shards: None,
-            shard: None,
             mda_lite: false,
             dynamics: None,
             storage_chaos: None,
@@ -99,8 +87,8 @@ pub enum ParseOutcome {
 pub const USAGE: &str =
     "usage: <experiment> [--seed N] [--scale F] [--threads N] [--faults L,R] [--json]\n\
 \u{20}                   [--metrics OUT.json] [--trace-spans] [--run-dir DIR] [--resume]\n\
-\u{20}                   [--deadline SECS] [--shards N] [--shard I] [--mda-lite]\n\
-\u{20}                   [--dynamics R[,P]] [--storage-chaos SEED[,RATE]]\n\
+\u{20}                   [--deadline SECS] [--mda-lite] [--dynamics R[,P]]\n\
+\u{20}                   [--storage-chaos SEED[,RATE]]\n\
 --seed N      scenario seed (default 42)\n\
 --scale F     scenario scale, 1.0 = paper-size (default 0.12)\n\
 --threads N   probing worker threads, snapshot scan included (default: all cores)\n\
@@ -116,13 +104,6 @@ pub const USAGE: &str =
 \u{20}             blocks; seed/scale/faults come from the journal\n\
 --deadline S  per-block watchdog deadline in seconds (default 30);\n\
 \u{20}             blocks past it are cancelled, requeued, then quarantined\n\
---shards N    coordinate a multi-process sharded run: write N shard\n\
-\u{20}             leases under --run-dir and spawn one worker per shard;\n\
-\u{20}             re-run the same command to resume (conflicts with\n\
-\u{20}             --resume and --shard)\n\
---shard I     run as shard worker I of a sharded run (spawned by the\n\
-\u{20}             coordinator; requires --run-dir, whose lease file\n\
-\u{20}             carries every other knob)\n\
 --mda-lite    probe with the MDA-Lite stopping discipline: resolve each\n\
 \u{20}             block's last-hop diamond once, stop early on later\n\
 \u{20}             destinations, escalate to classic MDA on inconsistent\n\
@@ -135,8 +116,8 @@ pub const USAGE: &str =
 \u{20}             schedule derives from the seed alone and is recorded in\n\
 \u{20}             the run meta, so --resume replays it byte-for-byte\n\
 --storage-chaos SEED[,RATE]  inject disk faults into every run-dir\n\
-\u{20}             filesystem operation: ENOSPC, EIO, short writes, torn\n\
-\u{20}             renames, and lying fsyncs fire with per-op probability\n\
+\u{20}             filesystem operation: ENOSPC, EIO, short writes, and\n\
+\u{20}             lying fsyncs fire with per-op probability\n\
 \u{20}             RATE (default 0.02) on a schedule derived from SEED.\n\
 \u{20}             The run either completes with a byte-identical report\n\
 \u{20}             or fails with a typed storage error — never silently\n\
@@ -182,8 +163,6 @@ impl ExpArgs {
                 "--run-dir" => args.run_dir = Some(expect_value(&mut it, "--run-dir")?),
                 "--resume" => args.resume = true,
                 "--deadline" => args.deadline = Some(expect_value(&mut it, "--deadline")?),
-                "--shards" => args.shards = Some(expect_value(&mut it, "--shards")?),
-                "--shard" => args.shard = Some(expect_value(&mut it, "--shard")?),
                 "--mda-lite" => args.mda_lite = true,
                 "--dynamics" => {
                     let v: String = expect_value(&mut it, "--dynamics")?;
@@ -207,44 +186,10 @@ impl ExpArgs {
         if args.deadline.is_some_and(|d| d <= 0.0) {
             return Err(ParseOutcome::Error("--deadline must be positive".into()));
         }
-        // Sharded-run flag conflicts. Each of these used to be able to
-        // leave a half-sharded run dir behind; now they fail up front.
-        if args.shards.is_some() && args.shard.is_some() {
-            return Err(ParseOutcome::Error(
-                "--shards (coordinator) and --shard (worker) are mutually exclusive".into(),
-            ));
-        }
-        if args.shards.is_some_and(|n| n == 0) {
-            return Err(ParseOutcome::Error("--shards must be at least 1".into()));
-        }
-        if args.shards.is_some() && args.run_dir.is_none() {
-            return Err(ParseOutcome::Error(
-                "--shards requires --run-dir (leases and shard journals live there)".into(),
-            ));
-        }
-        if args.shards.is_some() && args.resume {
-            return Err(ParseOutcome::Error(
-                "--resume conflicts with --shards: re-run the coordinator on the same \
-                 --run-dir to resume a sharded run"
-                    .into(),
-            ));
-        }
-        if args.shard.is_some() && args.run_dir.is_none() {
-            return Err(ParseOutcome::Error(
-                "--shard requires --run-dir (the shard lease file lives there)".into(),
-            ));
-        }
-        if args.shard.is_some() && args.resume {
-            return Err(ParseOutcome::Error(
-                "--resume conflicts with --shard: a worker resumes its own shard journal \
-                 automatically"
-                    .into(),
-            ));
-        }
         if args.storage_chaos.is_some() && args.run_dir.is_none() {
             return Err(ParseOutcome::Error(
                 "--storage-chaos requires --run-dir (the faults target the run dir's \
-                 journal, leases, and report)"
+                 journal)"
                     .into(),
             ));
         }
@@ -446,52 +391,18 @@ mod tests {
     }
 
     #[test]
-    fn shard_flags_parse_with_run_dir() {
-        let a = parse(&["--shards", "4", "--run-dir", "runs/x"]).unwrap();
-        assert_eq!(a.shards, Some(4));
-        assert_eq!(a.shard, None);
-        let b = parse(&["--shard", "2", "--run-dir", "runs/x"]).unwrap();
-        assert_eq!(b.shard, Some(2));
-        assert_eq!(b.shards, None);
-        let d = parse(&[]).unwrap();
-        assert_eq!(d.shards, None);
-        assert_eq!(d.shard, None);
-    }
-
-    #[test]
-    fn shard_flag_conflicts_fail_before_any_run_dir_is_touched() {
-        // --resume + --shards: the coordinator resumes by re-running.
-        let e = parse(&["--shards", "2", "--run-dir", "x", "--resume"]);
-        match e {
-            Err(ParseOutcome::Error(msg)) => assert!(msg.contains("--resume"), "{msg}"),
-            other => panic!("expected conflict error, got {other:?}"),
+    fn shards_flag_is_a_parse_error_and_creates_no_run_dir() {
+        let dir = std::env::temp_dir().join(format!("hobbit-args-shards-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_arg = dir.to_str().unwrap();
+        match parse(&["--shards", "2", "--run-dir", dir_arg]) {
+            Err(ParseOutcome::Error(msg)) => assert!(msg.contains("--shards"), "{msg}"),
+            other => panic!("expected an unknown-flag error, got {other:?}"),
         }
-        // --shard without a run dir: the lease file is unreachable.
-        let e = parse(&["--shard", "0"]);
-        match e {
-            Err(ParseOutcome::Error(msg)) => assert!(msg.contains("--run-dir"), "{msg}"),
-            other => panic!("expected missing run-dir error, got {other:?}"),
-        }
-        // Coordinator and worker roles are exclusive.
-        assert!(matches!(
-            parse(&["--shards", "2", "--shard", "0", "--run-dir", "x"]),
-            Err(ParseOutcome::Error(_))
-        ));
-        // --shards without a run dir would have nowhere to put leases.
-        assert!(matches!(
-            parse(&["--shards", "2"]),
-            Err(ParseOutcome::Error(_))
-        ));
-        // A worker resumes its own journal; --resume on a worker is a bug.
-        assert!(matches!(
-            parse(&["--shard", "0", "--run-dir", "x", "--resume"]),
-            Err(ParseOutcome::Error(_))
-        ));
-        // Zero shards is meaningless.
-        assert!(matches!(
-            parse(&["--shards", "0", "--run-dir", "x"]),
-            Err(ParseOutcome::Error(_))
-        ));
+        assert!(
+            !dir.exists(),
+            "a rejected command line must not create its run dir"
+        );
     }
 
     #[test]
@@ -499,10 +410,10 @@ mod tests {
         let a = parse(&["--mda-lite"]).unwrap();
         assert!(a.mda_lite);
         assert!(!parse(&[]).unwrap().mda_lite, "classic is the default");
-        // Composes with the journal/shard flags it is recorded through.
-        let b = parse(&["--mda-lite", "--shards", "2", "--run-dir", "x"]).unwrap();
+        // Composes with the journal flags it is recorded through.
+        let b = parse(&["--mda-lite", "--run-dir", "x", "--resume"]).unwrap();
         assert!(b.mda_lite);
-        assert_eq!(b.shards, Some(2));
+        assert!(b.resume);
     }
 
     #[test]
@@ -544,10 +455,6 @@ mod tests {
         let b = parse(&["--storage-chaos", "7, 0.1", "--run-dir", "x"]).unwrap();
         assert_eq!(b.storage_chaos, Some((7, 0.1)));
         assert_eq!(parse(&[]).unwrap().storage_chaos, None);
-        // Composes with a sharded run (the coordinator plants per-shard
-        // chaos leases).
-        let c = parse(&["--storage-chaos", "7", "--shards", "2", "--run-dir", "x"]).unwrap();
-        assert_eq!(c.storage_chaos, Some((7, DEFAULT_CHAOS_RATE)));
     }
 
     #[test]

@@ -31,7 +31,9 @@
 //! (everything after the first bad frame is suspect by WAL convention),
 //! reports it via [`JournalReplay::truncated`], and
 //! [`JournalWriter::resume`] physically truncates the file back to the
-//! valid prefix before appending again.
+//! valid prefix before appending again. A record that passes its CRC but
+//! does not decode was written whole by another format; replay refuses
+//! it with a Corruption error and leaves the file untouched.
 //!
 //! # Disk-failure tolerance (DESIGN.md §17)
 //!
@@ -46,9 +48,9 @@
 //! a Corruption error (the surviving prefix is valid and resume simply
 //! re-measures the lost blocks); persistent faults (ENOSPC) and
 //! exhausted retries likewise **seal** the journal — every later append
-//! and flush returns the sealing [`StorageError`] so the worker
-//! self-quarantines its shard instead of panicking or acknowledging
-//! unjournaled work.
+//! and flush returns the sealing [`StorageError`] so the run stops with
+//! that typed error instead of panicking or acknowledging unjournaled
+//! work.
 
 #![deny(clippy::unwrap_used)]
 
@@ -162,41 +164,11 @@ impl RunMeta {
     }
 }
 
-/// The global phase totals a shard worker derives before classification.
-/// Selection and calibration run identically in every worker (they depend
-/// only on seed and scale), so each shard journal carries the same totals;
-/// the shard-merge reads them from one journal and cross-checks the rest,
-/// which is what lets it rebuild the single-process report without
-/// re-probing anything.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardInfo {
-    /// This journal's shard index.
-    pub shard: u64,
-    /// Total shard count of the run.
-    pub shards: u64,
-    /// Blocks passing selection (global, not per-shard).
-    pub selected: u64,
-    /// Blocks rejected for < 4 snapshot-active addresses.
-    pub reject_too_few: u64,
-    /// Blocks rejected for an uncovered /26 quarter.
-    pub reject_uncovered: u64,
-    /// Probe packets the calibration survey spent.
-    pub calibration_probes: u64,
-    /// Events in the derived dynamics schedule (0 for a static world).
-    /// Every shard derives the schedule from the same seed, so the merge
-    /// cross-checks this count the same way it cross-checks selection.
-    #[serde(default)]
-    pub dynamics_events: u64,
-}
-
 /// One journal record.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum Entry {
     /// Run configuration; always the first record.
     Meta(RunMeta),
-    /// Sharded-run phase totals; written right after [`Entry::Meta`] by
-    /// shard workers, absent from single-process journals.
-    ShardInfo(ShardInfo),
     /// A finished block classification: `index` is the block's position in
     /// the deterministic selection order (kept for diagnostics; replay
     /// keys on the measurement's block address).
@@ -240,8 +212,6 @@ pub struct CrashPoint {
 pub struct JournalReplay {
     /// The meta record, when one was recovered.
     pub meta: Option<RunMeta>,
-    /// The sharded-run phase totals, when this is a shard journal.
-    pub shard_info: Option<ShardInfo>,
     /// Recovered block measurements in journal (completion) order.
     pub blocks: Vec<BlockMeasurement>,
     /// Recovered quarantine records `(index, block, attempts, reason)`.
@@ -276,7 +246,8 @@ fn read_u32(bytes: &[u8], pos: usize) -> u32 {
 }
 
 /// Replay a journal file. Missing file ⇒ an empty replay (fresh run).
-/// A trailing partial or CRC-failing record is dropped, not an error.
+/// A trailing partial or CRC-failing record is dropped, not an error; a
+/// whole record that does not decode is a Corruption error.
 pub fn read_journal(path: &Path) -> std::io::Result<JournalReplay> {
     read_journal_via(&Storage::real(), path).map_err(std::io::Error::other)
 }
@@ -304,27 +275,32 @@ pub fn read_journal_via(storage: &Storage, path: &Path) -> Result<JournalReplay,
             break;
         }
         let payload = &bytes[pos + 8..pos + 8 + len];
-        if crc32(payload) != crc {
+        // No entry encodes to an empty payload, and a zero-filled tail
+        // would otherwise pass the CRC (the CRC-32 of nothing is 0).
+        if len == 0 || crc32(payload) != crc {
             replay.truncated = true;
             break;
         }
-        let text = match std::str::from_utf8(payload) {
-            Ok(t) => t,
-            Err(_) => {
-                replay.truncated = true;
-                break;
-            }
-        };
-        let entry: Entry = match serde_json::from_str(text) {
-            Ok(e) => e,
-            Err(_) => {
-                replay.truncated = true;
-                break;
-            }
-        };
+        // A frame that passes its CRC was written whole, so a payload that
+        // fails to decode is no torn tail: it comes from another journal
+        // format (such as the shard-info record of an old sharded run).
+        // Truncating there would silently drop every record after it.
+        let entry: Entry = std::str::from_utf8(payload)
+            .map_err(|e| e.to_string())
+            .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
+            .map_err(|e| {
+                StorageError::corruption(
+                    "journal.replay",
+                    path,
+                    format!(
+                        "record at byte offset {pos} passes its CRC but is no \
+                         {JOURNAL_SCHEMA} entry ({e}); this version cannot resume it, \
+                         start a fresh run dir"
+                    ),
+                )
+            })?;
         match entry {
             Entry::Meta(m) => replay.meta = Some(m),
-            Entry::ShardInfo(s) => replay.shard_info = Some(s),
             Entry::Block { measurement, .. } => replay.blocks.push(measurement),
             Entry::Quarantine {
                 index,
@@ -449,7 +425,7 @@ impl JournalWriter {
     /// The sealing error, if a persistent fault (or an exhausted retry
     /// budget) has put the journal in its degraded mode. A sealed journal
     /// acknowledges nothing: every later append and flush returns this
-    /// error, so the worker self-quarantines its shard.
+    /// error, so the run stops instead of acknowledging unjournaled work.
     pub fn sealed(&self) -> Option<&StorageError> {
         self.sealed.as_ref()
     }
@@ -728,37 +704,36 @@ mod tests {
     }
 
     #[test]
-    fn shard_info_roundtrips_and_single_process_journals_lack_it() {
-        let dir = tmpdir("shardinfo");
-        let meta = RunMeta::new(42, 0.01, None);
-        let info = ShardInfo {
-            shard: 1,
-            shards: 4,
-            selected: 320,
-            reject_too_few: 7,
-            reject_uncovered: 3,
-            calibration_probes: 9000,
-            dynamics_events: 2,
-        };
-        let mut w = JournalWriter::create(&dir, &meta).unwrap();
-        w.append(&Entry::ShardInfo(info)).unwrap();
-        w.append(&Entry::Block {
-            index: 0,
-            measurement: measurement(0x0A_0100, 4),
-        })
-        .unwrap();
-        w.flush().unwrap();
-        let r = read_journal(&dir.join(JOURNAL_FILE)).unwrap();
-        assert_eq!(r.shard_info, Some(info));
-        assert_eq!(r.blocks.len(), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn undecodable_whole_record_is_refused_not_truncated() {
+        // An old sharded-run journal: Meta, the shard-info record this
+        // version no longer knows, then two block records. Every frame
+        // passes its CRC, so the unknown record must not read as a torn
+        // tail — that would cut the journal after Meta and drop the blocks.
+        let dir = tmpdir("unknown-record");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(JOURNAL_FILE);
+        let shard_info = include_bytes!("testdata/old_shard_record.json");
+        let mut bytes = encode_entry(&Entry::Meta(RunMeta::new(7, 0.01, None)), &path).unwrap();
+        let offset = bytes.len();
+        bytes.extend_from_slice(&(shard_info.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(shard_info).to_le_bytes());
+        bytes.extend_from_slice(shard_info);
+        for i in 0..2u64 {
+            let block = Entry::Block {
+                index: i,
+                measurement: measurement(0x0A_0100 + i as u32, 4),
+            };
+            bytes.extend(encode_entry(&block, &path).unwrap());
+        }
+        std::fs::write(&path, &bytes).unwrap();
 
-        // A journal without the record replays to `None` (single-process).
-        let dir = tmpdir("shardinfo-none");
-        let w = JournalWriter::create(&dir, &meta).unwrap();
-        drop(w);
-        let r = read_journal(&dir.join(JOURNAL_FILE)).unwrap();
-        assert_eq!(r.shard_info, None);
+        let err = JournalWriter::resume_via(Storage::real(), &dir).unwrap_err();
+        assert_eq!(err.kind, StorageErrorKind::Corruption, "{err}");
+        assert!(
+            err.to_string().contains(&format!("byte offset {offset}")),
+            "{err}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "file left untouched");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

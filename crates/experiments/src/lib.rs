@@ -12,9 +12,7 @@
 #![warn(missing_docs)]
 
 pub mod args;
-pub mod coordinator;
 pub mod journal;
-pub mod lease;
 pub mod pipeline;
 pub mod report;
 pub mod supervise;
@@ -23,15 +21,8 @@ pub mod vfs;
 pub mod exps;
 
 pub use args::ExpArgs;
-pub use coordinator::{
-    merge_run, run_sharded, worker_main, CoordCrash, CoordError, CoordObs, CoordinatorConfig,
-    EXIT_KILLED, EXIT_REFUSED, EXIT_STORAGE,
-};
-pub use journal::{CrashPoint, JournalWriter, RunMeta, ShardInfo, JOURNAL_SCHEMA};
-pub use lease::{Lease, LeaseSabotage, LeaseState, LEASE_SCHEMA};
-pub use pipeline::{
-    classify_blocks, classify_blocks_observed, Pipeline, PipelineBuilder, WorkerStats,
-};
+pub use journal::{CrashPoint, JournalWriter, RunMeta, JOURNAL_SCHEMA};
+pub use pipeline::{classify_blocks, Pipeline, PipelineBuilder, WorkerStats, EXIT_STORAGE};
 pub use report::Report;
 pub use supervise::{
     FaultInjector, InjectedFault, QuarantineReason, QuarantinedBlock, ShutdownSignal,

@@ -23,30 +23,30 @@
 //! assert_eq!(p.measurements.len(), p.selected.len());
 //! ```
 //!
-//! The classification engine is also available standalone via
-//! [`classify_blocks`], which takes the shared-network handle directly.
+//! The classification engine,
+//! [`crate::supervise::classify_blocks_supervised`], is also available
+//! standalone via [`classify_blocks`], which takes the shared-network
+//! handle directly.
 
 use crate::args::ExpArgs;
-use crate::journal::{CrashPoint, Entry, JournalWriter, RunMeta, ShardInfo, JOURNAL_SCHEMA};
-use crate::lease::shard_of;
+use crate::journal::{CrashPoint, Entry, JournalWriter, RunMeta, JOURNAL_SCHEMA};
 use crate::supervise::{
     classify_blocks_supervised, FaultInjector, ShutdownSignal, SuperviseConfig, SuperviseHooks,
-    SuperviseObs, SuperviseReport,
+    SuperviseObs, SuperviseReport, SupervisedOutcome,
 };
 use crate::vfs::{Storage, StorageError};
 use aggregate::{aggregate_identical, Aggregate, HomogBlock};
 use hobbit::{
-    classify_block_observed, detects_homogeneous, select_block, survey_block, BlockLasthopData,
-    BlockMeasurement, ClassifyObs, ConfidenceTable, HobbitConfig, SelectReject, SelectedBlock,
+    detects_homogeneous, select_block, survey_block, BlockLasthopData, BlockMeasurement,
+    ConfidenceTable, HobbitConfig, SelectReject, SelectedBlock,
 };
 use netsim::build::{build, derive_dynamics, Scenario, ScenarioConfig};
-use netsim::hash::mix2;
 use netsim::{Addr, Block24, FaultConfig, NetworkStats, SharedNetwork};
 use obs::{NullRecorder, Recorder, Registry, SpanTimer};
-use probe::{zmap, MdaMode, ProbeObs, Prober, StoppingRule, ZmapSnapshot};
+use probe::{zmap, MdaMode, Prober, StoppingRule, ZmapSnapshot};
 use serde::Serialize;
-use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
+use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -134,7 +134,6 @@ pub struct PipelineBuilder {
     injector: Option<FaultInjector>,
     crash: Option<CrashPoint>,
     shutdown: Option<ShutdownSignal>,
-    shard: Option<(usize, usize)>,
     storage: Option<Storage>,
     /// Set by [`PipelineBuilder::args`]: this run belongs to a CLI
     /// process, so a storage failure should exit with a named error
@@ -154,7 +153,6 @@ impl std::fmt::Debug for PipelineBuilder {
             .field("injector", &self.injector.is_some())
             .field("crash", &self.crash)
             .field("shutdown", &self.shutdown)
-            .field("shard", &self.shard)
             .field("storage", &self.storage)
             .finish()
     }
@@ -224,7 +222,7 @@ impl PipelineBuilder {
 
     /// Take every knob from parsed CLI arguments at once. Also marks the
     /// run as CLI-owned: a storage failure in [`PipelineBuilder::run`]
-    /// prints the typed error and exits [`crate::EXIT_STORAGE`] instead
+    /// prints the typed error and exits [`EXIT_STORAGE`] instead
     /// of panicking with a backtrace.
     pub fn args(mut self, args: &ExpArgs) -> Self {
         self.args = args.clone();
@@ -291,23 +289,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Classify only the blocks shard `shard` of `shards` owns
-    /// (round-robin over the deterministic selection order; see
-    /// [`crate::lease::shard_of`]). Selection and calibration still run in
-    /// full — they are cheap, deterministic, and give every worker the
-    /// identical confidence table — but non-owned blocks are never probed.
-    /// Requires a run dir: a shard's only output is its journal, which the
-    /// coordinator's merge folds into the run report.
-    pub fn shard(mut self, shard: usize, shards: usize) -> Self {
-        assert!(shards >= 1, "a sharded run needs at least one shard");
-        assert!(
-            shard < shards,
-            "shard index {shard} out of range for {shards} shards"
-        );
-        self.shard = Some((shard, shards));
-        self
-    }
-
     /// Attach a graceful-shutdown signal: when requested, workers drain
     /// their in-flight blocks, the journal gets a final checkpoint, and
     /// the run returns early with [`SuperviseReport::shutdown`] set.
@@ -335,7 +316,7 @@ impl PipelineBuilder {
         self.try_run().unwrap_or_else(|e| {
             if cli {
                 eprintln!("error: {e}");
-                std::process::exit(crate::coordinator::EXIT_STORAGE);
+                std::process::exit(EXIT_STORAGE);
             }
             panic!("pipeline storage failure: {e}")
         })
@@ -356,28 +337,11 @@ impl PipelineBuilder {
             injector,
             crash,
             shutdown,
-            shard,
             storage,
             cli: _,
         } = self;
-        assert!(
-            args.shards.is_none(),
-            "--shards starts a coordinator: route through \
-             experiments::coordinator::run_sharded, not Pipeline::run"
-        );
-        assert!(
-            args.shard.is_none(),
-            "--shard re-enters a worker process: route through \
-             experiments::coordinator::worker_main, which configures the \
-             pipeline from the shard's lease"
-        );
         let run_dir = run_dir.or_else(|| args.run_dir.as_ref().map(PathBuf::from));
         let resume = resume || args.resume;
-        assert!(
-            shard.is_none() || run_dir.is_some(),
-            "a sharded worker must journal into a run dir: its journal is \
-             the only output the coordinator's merge can read"
-        );
         let mut sup_cfg = supervise.unwrap_or_default();
         if let Some(secs) = args.deadline {
             sup_cfg.deadline = Duration::from_secs_f64(secs);
@@ -387,366 +351,51 @@ impl PipelineBuilder {
         // `storage.*` counters before the journal's first byte is written.
         let observing = observe || args.metrics.is_some() || args.trace_spans;
         let obs: Option<Arc<Registry>> = observing.then(|| Arc::new(Registry::new()));
-        let rec: &dyn Recorder = obs
-            .as_deref()
-            .map(|r| r as &dyn Recorder)
-            .unwrap_or(&NULL_RECORDER);
+        let reg = obs.as_deref();
+        let rec: &dyn Recorder = reg.map(|r| r as &dyn Recorder).unwrap_or(&NULL_RECORDER);
 
-        // Every run-dir operation goes through one Storage handle: an
-        // explicit builder handle wins, then `--storage-chaos`, then the
-        // faithful default.
-        let mut storage = storage
-            .or_else(|| {
-                args.storage_chaos
-                    .map(|(seed, rate)| Storage::chaos(seed, rate))
-            })
-            .unwrap_or_else(Storage::real);
-        storage.observe(rec);
-
-        // Open the journal next: on resume its meta record dictates seed,
-        // scale, and faults (the resumed world must be the crashed world).
-        let mut journal: Option<Mutex<JournalWriter>> = None;
-        let mut replayed: Vec<BlockMeasurement> = Vec::new();
-        let mut truncated_tail = false;
-        let mut replayed_shard_info: Option<ShardInfo> = None;
-        if let Some(dir) = &run_dir {
-            let writer = if resume {
-                let (w, replay) = JournalWriter::resume_via(storage.clone(), dir)?;
-                let meta = replay.meta.ok_or_else(|| {
-                    StorageError::corruption(
-                        "resume",
-                        &dir.join(crate::journal::JOURNAL_FILE),
-                        "journal has no meta record (nothing was checkpointed)",
-                    )
-                })?;
-                assert_eq!(
-                    meta.schema, JOURNAL_SCHEMA,
-                    "resume: journal written by an incompatible version"
-                );
-                // Seed, scale, and faults are *adopted* from the journal —
-                // the resumed world must be the crashed world. The probe
-                // mode is different: adopting it silently would make
-                // `--mda-lite` a no-op on resume, and switching it would
-                // change the probe stream of every remaining block, so a
-                // mismatch is refused outright.
-                assert_eq!(
-                    meta.mda_lite,
-                    args.mda_lite,
-                    "resume: journal was recorded in {} mode but this run \
-                     asked for {} — the probe mode changes every remaining \
-                     block's probe stream, so start a fresh run dir instead",
-                    if meta.mda_lite {
-                        MdaMode::Lite
-                    } else {
-                        MdaMode::Classic
-                    }
-                    .slug(),
-                    if args.mda_lite {
-                        MdaMode::Lite
-                    } else {
-                        MdaMode::Classic
-                    }
-                    .slug(),
-                );
-                // Dynamics are refused on mismatch for the same reason:
-                // the schedule shapes every remaining block's probe
-                // stream (and its epoch tags), so silently adopting or
-                // dropping it would desynchronize the resumed run.
-                assert_eq!(
-                    meta.dynamics(),
-                    args.dynamics,
-                    "resume: journal dynamics {:?} but this run asked for \
-                     {:?} — the schedule changes every remaining block's \
-                     probe stream, so start a fresh run dir instead",
-                    meta.dynamics(),
-                    args.dynamics,
-                );
-                args.seed = meta.seed;
-                args.scale = meta.scale;
-                args.faults = meta.faults();
-                replayed = replay.blocks;
-                truncated_tail = replay.truncated;
-                replayed_shard_info = replay.shard_info;
-                if let (Some((s, n)), Some(info)) = (shard, &replayed_shard_info) {
-                    assert_eq!(
-                        (info.shard, info.shards),
-                        (s as u64, n as u64),
-                        "resume: journal belongs to shard {}/{} but the worker \
-                         was granted shard {s}/{n}",
-                        info.shard,
-                        info.shards
-                    );
-                }
-                w
-            } else {
-                JournalWriter::create_via(
-                    storage.clone(),
-                    dir,
-                    &RunMeta::new(args.seed, args.scale, args.faults)
-                        .with_mda_lite(args.mda_lite)
-                        .with_dynamics(args.dynamics),
-                )?
-            };
-            journal = Some(Mutex::new(writer));
-        }
-        if let Some(cp) = crash {
-            let j = journal
-                .as_ref()
-                .expect("a crash point needs a run dir to crash");
-            j.lock().unwrap().set_crash_point(cp);
-        }
-
-        let run_span = obs.as_ref().map(|r| r.span("run"));
-        let mut scenario = {
-            let _s = obs.as_ref().map(|r| r.span("run/build"));
-            scenario.unwrap_or_else(|| build(scenario_config(&args)))
+        let OpenedJournal { writer, replayed } =
+            open_journal(&mut args, run_dir.as_deref(), resume, storage, crash, rec)?;
+        let phases = Phases {
+            args: &args,
+            reg,
+            rec,
+            sup_cfg,
         };
-        // Attach the recorder before the first probe so the network-side
-        // counters carry the whole run regardless of thread count.
-        if let Some(reg) = obs.as_deref() {
-            scenario.network.set_recorder(reg);
-        }
-        let snapshot = {
-            let _s = obs.as_ref().map(|r| r.span("run/snapshot"));
-            let blocks = scenario.network.allocated_blocks();
-            zmap::scan_threaded(&mut scenario.network, &blocks, args.threads)
-        };
-        if let Some(reg) = obs.as_deref() {
-            reg.counter("snapshot.probes").add(snapshot.probes);
-        }
-
-        // Faults switch on only after the snapshot: selection inputs stay
-        // identical to a loss-free run, so verdicts compare block-for-block.
-        if let Some((loss, rate)) = args.faults {
-            scenario
-                .network
-                .set_faults(FaultConfig::lossy(loss as f32, rate as f32));
-        }
-
-        // Dynamics install after the snapshot for the same reason: epoch 0
-        // *is* the frozen world selection saw, and the virtual clock only
-        // starts ticking once classification probes flow.
-        let mut dynamics_events = 0u64;
-        if let Some((rate, period)) = args.dynamics {
-            let schedule = derive_dynamics(&scenario, rate, period);
-            dynamics_events = schedule.events.len() as u64;
-            scenario.network.set_dynamics(schedule);
-        }
-
-        let mut selected = Vec::new();
-        let (mut reject_too_few, mut reject_uncovered) = (0usize, 0usize);
-        {
-            let _s = obs.as_ref().map(|r| r.span("run/select"));
-            for block in snapshot.blocks() {
-                match select_block(&snapshot, block) {
-                    Ok(sel) => selected.push(sel),
-                    Err(SelectReject::TooFewActive) => reject_too_few += 1,
-                    Err(SelectReject::UncoveredQuarter) => reject_uncovered += 1,
-                }
-            }
-        }
-        if let Some(reg) = obs.as_deref() {
-            reg.counter("select.selected").add(selected.len() as u64);
-            reg.counter("select.reject_too_few")
-                .add(reject_too_few as u64);
-            reg.counter("select.reject_uncovered")
-                .add(reject_uncovered as u64);
-        }
-
-        // --- Calibration: survey a spread-out sample of selected blocks
-        // with full last-hop data; blocks whose full data shows homogeneity
-        // feed the confidence table (the paper's Section 3.2 procedure).
-        let calibration_probes;
-        let confidence = {
-            let _s = obs.as_ref().map(|r| r.span("run/calibrate"));
-            let stride = (selected.len() / CALIBRATION_BLOCKS).max(1);
-            let sample: Vec<&SelectedBlock> = selected
-                .iter()
-                .step_by(stride)
-                .take(CALIBRATION_BLOCKS)
-                .collect();
-            let mut dataset: Vec<BlockLasthopData> = Vec::new();
-            let mut prober = Prober::new(&mut scenario.network, 0xCA11);
-            prober.observe(rec);
-            if args.faults.is_some() {
-                prober.retries = FAULTED_RETRIES;
-            }
-            for sel in sample {
-                let survey = survey_block(&mut prober, sel, StoppingRule::confidence95(), false);
-                if survey.per_addr_lasthops.len() >= 8
-                    && detects_homogeneous(&survey.per_addr_lasthops)
-                {
-                    dataset.push(survey.lasthop_data());
-                }
-            }
-            calibration_probes = prober.probes_sent();
-            if let Some(reg) = obs.as_deref() {
-                reg.counter("calibrate.dataset_blocks")
-                    .add(dataset.len() as u64);
-                reg.counter("calibrate.probes").add(calibration_probes);
-            }
-            ConfidenceTable::build(&dataset, 50, 24, 0.95, 8, args.seed ^ 0xF16)
-        };
-
-        // Sharded worker: persist the global phase totals right after the
-        // meta record (before any block lands), so the coordinator's merge
-        // can rebuild the single-process report from journals alone. On
-        // resume the totals must re-derive identically — anything else
-        // means the journal belongs to a different world.
-        if let Some((s, n)) = shard {
-            let info = ShardInfo {
-                shard: s as u64,
-                shards: n as u64,
-                selected: selected.len() as u64,
-                reject_too_few: reject_too_few as u64,
-                reject_uncovered: reject_uncovered as u64,
-                calibration_probes,
-                dynamics_events,
-            };
-            match &replayed_shard_info {
-                Some(prev) => assert_eq!(
-                    *prev, info,
-                    "resume: re-derived shard totals diverge from the journal"
-                ),
-                None => {
-                    let j = journal.as_ref().expect("sharding requires a run dir");
-                    let mut j = j.lock().unwrap();
-                    j.append(&Entry::ShardInfo(info))?;
-                    j.flush()?;
-                }
-            }
-        }
-
-        // --- Classification over ONE shared network, work-stealing workers
-        // under supervision (panic isolation, stall watchdog, checkpoints).
-        let hobbit_cfg = HobbitConfig {
-            seed: args.seed ^ 0x0B17,
-            prober_retries: if args.faults.is_some() {
-                FAULTED_RETRIES
-            } else {
-                HobbitConfig::default().prober_retries
-            },
-            mda_mode: if args.mda_lite {
-                MdaMode::Lite
-            } else {
-                MdaMode::Classic
-            },
-            // Epoch-tag evidence only when a live schedule exists: an
-            // empty schedule never ticks the clock, and tagging would
-            // change the measurement bytes of a world that never moves.
-            dynamics_period: match args.dynamics {
-                Some((_, period)) if dynamics_events > 0 => period,
-                _ => 0,
-            },
-            ..Default::default()
-        };
-        let Scenario {
-            network,
-            truth,
-            config,
-            pop_routers,
-        } = scenario;
-        let shared = SharedNetwork::new(network);
-
-        // Blocks recovered from the journal are skipped, not re-measured;
-        // every block's probe stream depends only on (block, seed), so the
-        // remaining blocks measure exactly what they would have anyway.
-        let sup_obs = SuperviseObs::bind(rec);
-        let mut skip = vec![false; selected.len()];
-        // Non-owned blocks of a sharded worker are skipped outright (and
-        // never prefilled): they belong to another shard's journal.
-        if let Some((s, n)) = shard {
-            for (i, flag) in skip.iter_mut().enumerate() {
-                *flag = shard_of(i, n) != s;
-            }
-        }
-        let mut prefilled: Vec<BlockMeasurement> = Vec::new();
-        if !replayed.is_empty() {
-            let index_of: HashMap<Block24, usize> = selected
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (s.block, i))
-                .collect();
-            for m in replayed {
-                match index_of.get(&m.block) {
-                    Some(&i) if !skip[i] => {
-                        skip[i] = true;
-                        prefilled.push(m);
-                    }
-                    _ => {} // duplicate record or stale selection — remeasure
-                }
-            }
-        }
-        let resumed_blocks = prefilled.len() as u64;
-        sup_obs.resumed.add(resumed_blocks);
-        if truncated_tail {
-            sup_obs.journal_truncated.inc();
-        }
-
+        let run_span = SpanTimer::start(rec, "run");
+        let mut scenario = phases.build(scenario);
+        let (snapshot, dynamics_events) = phases.snapshot(&mut scenario);
+        let (selected, reject_too_few, reject_uncovered) = phases.select(&snapshot);
+        let (confidence, calibration_probes) = phases.calibrate(&mut scenario, &selected);
+        let hobbit_cfg = phases.hobbit_config(dynamics_events);
         let hooks = SuperviseHooks {
             injector,
             shutdown,
-            journal: journal.as_ref(),
-            skip: Some(&skip),
+            journal: writer.as_ref(),
+            skip: None,
         };
-        let outcome = {
-            let _s = obs.as_ref().map(|r| r.span("run/classify"));
-            classify_blocks_supervised(
-                &shared,
-                &selected,
-                &confidence,
-                &hobbit_cfg,
-                args.threads,
-                rec,
-                &sup_cfg,
-                &hooks,
-            )
-        };
-        let mut measurements = outcome.measurements;
-        measurements.extend(prefilled);
-        measurements.sort_by_key(|m| m.block);
-        let worker_stats = outcome.worker_stats;
-        let mut supervision = outcome.report;
-        supervision.resumed_blocks = resumed_blocks;
-
-        // Journal epilogue: a crashed journal means the "process" died —
-        // nothing more may be written. A sealed journal (storage fault
-        // past the retries) propagates its typed error: the on-disk
-        // prefix is valid and resumable, but the run must not publish a
-        // report — or write a done marker — over an incomplete journal.
-        if let Some(j) = &journal {
-            let mut j = j.lock().unwrap();
-            if j.crashed() {
-                supervision.interrupted = true;
-            } else if let Some(e) = supervision.storage_error.take() {
-                return Err(e);
-            } else {
-                if supervision.shutdown {
-                    j.append(&Entry::Shutdown)?;
-                }
-                j.flush()?;
-            }
-            sup_obs.journal_appends.add(j.appends());
-            sup_obs.journal_fsyncs.add(j.fsyncs());
-        }
+        let (scenario, outcome) = phases.classify(
+            scenario,
+            &selected,
+            &confidence,
+            &hobbit_cfg,
+            hooks,
+            replayed,
+        );
+        let SupervisedOutcome {
+            measurements,
+            worker_stats,
+            report: mut supervision,
+        } = outcome;
+        phases.epilogue(writer.as_ref(), &mut supervision)?;
+        drop(run_span);
 
         // Probe spend is summed over measurements (each block's fresh
         // prober makes `probes_used` exactly its probes sent), so the total
         // is the same whether a block was measured now or recovered from
         // the journal.
         let classify_probes = measurements.iter().map(|m| m.probes_used).sum();
-        let network = shared
-            .try_unwrap()
-            .expect("all worker handles are dropped when the scope ends");
-        let net_stats = network.net_stats();
-        let scenario = Scenario {
-            network,
-            truth,
-            config,
-            pop_routers,
-        };
-
-        drop(run_span);
+        let net_stats = scenario.network.net_stats();
         let pipeline = Pipeline {
             scenario,
             snapshot,
@@ -772,22 +421,369 @@ impl PipelineBuilder {
     }
 }
 
+/// Exit status of a CLI run whose run-dir storage failed past the
+/// retries (see [`PipelineBuilder::args`]).
+pub const EXIT_STORAGE: i32 = 5;
+
 /// Per-probe retries used when fault injection is on. Three retries bound
 /// the residual per-call loss well below a percent at the sweep's loss
 /// rates, and a token bucket refilling at rate `r` denies a stream at most
 /// `ceil(1/r) - 1` times in a row — so rate ≥ 0.25 is always recovered.
 pub const FAULTED_RETRIES: u32 = 3;
 
-/// Resolve a thread-count argument (0 = all cores) against the work size.
-pub(crate) fn effective_threads(requested: usize, tasks: usize) -> usize {
-    let n = if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    } else {
-        requested
+/// The run dir's journal as the classify phase and the epilogue see it.
+struct OpenedJournal {
+    /// The checkpoint writer; `None` without a run dir.
+    writer: Option<Mutex<JournalWriter>>,
+    /// Blocks a resume recovered from the journal.
+    replayed: Vec<BlockMeasurement>,
+}
+
+/// Open the run dir's journal, if there is one. On resume its meta record
+/// dictates seed, scale, and faults (the resumed world must be the crashed
+/// world), so they are written back into `args`.
+fn open_journal(
+    args: &mut ExpArgs,
+    run_dir: Option<&Path>,
+    resume: bool,
+    storage: Option<Storage>,
+    crash: Option<CrashPoint>,
+    rec: &dyn Recorder,
+) -> Result<OpenedJournal, StorageError> {
+    // Every run-dir operation goes through one Storage handle: an
+    // explicit builder handle wins, then `--storage-chaos`, then the
+    // faithful default.
+    let mut storage = storage
+        .or_else(|| {
+            args.storage_chaos
+                .map(|(seed, rate)| Storage::chaos(seed, rate))
+        })
+        .unwrap_or_else(Storage::real);
+    storage.observe(rec);
+    let mut opened = OpenedJournal {
+        writer: None,
+        replayed: Vec::new(),
     };
-    n.clamp(1, tasks.max(1))
+    let Some(dir) = run_dir else {
+        assert!(crash.is_none(), "a crash point needs a run dir to crash");
+        return Ok(opened);
+    };
+    let mut writer = if resume {
+        let (w, replay) = JournalWriter::resume_via(storage, dir)?;
+        let meta = replay.meta.ok_or_else(|| {
+            StorageError::corruption(
+                "resume",
+                &dir.join(crate::journal::JOURNAL_FILE),
+                "journal has no meta record (nothing was checkpointed)",
+            )
+        })?;
+        assert_eq!(
+            meta.schema, JOURNAL_SCHEMA,
+            "resume: journal written by an incompatible version"
+        );
+        // Seed, scale, and faults are *adopted* from the journal — the
+        // resumed world must be the crashed world. The probe mode is
+        // different: adopting it silently would make `--mda-lite` a no-op
+        // on resume, and switching it would change the probe stream of
+        // every remaining block, so a mismatch is refused outright.
+        let mode = |lite: bool| {
+            (if lite {
+                MdaMode::Lite
+            } else {
+                MdaMode::Classic
+            })
+            .slug()
+        };
+        assert_eq!(
+            meta.mda_lite,
+            args.mda_lite,
+            "resume: journal was recorded in {} mode but this run asked for {} — \
+             the probe mode changes every remaining block's probe stream, so start \
+             a fresh run dir instead",
+            mode(meta.mda_lite),
+            mode(args.mda_lite),
+        );
+        // Dynamics are refused on mismatch for the same reason: the
+        // schedule shapes every remaining block's probe stream (and its
+        // epoch tags), so silently adopting or dropping it would
+        // desynchronize the resumed run.
+        assert_eq!(
+            meta.dynamics(),
+            args.dynamics,
+            "resume: journal dynamics {:?} but this run asked for {:?} — the \
+             schedule changes every remaining block's probe stream, so start a \
+             fresh run dir instead",
+            meta.dynamics(),
+            args.dynamics,
+        );
+        args.seed = meta.seed;
+        args.scale = meta.scale;
+        args.faults = meta.faults();
+        if replay.truncated {
+            SuperviseObs::bind(rec).journal_truncated.inc();
+        }
+        opened.replayed = replay.blocks;
+        w
+    } else {
+        JournalWriter::create_via(
+            storage,
+            dir,
+            &RunMeta::new(args.seed, args.scale, args.faults)
+                .with_mda_lite(args.mda_lite)
+                .with_dynamics(args.dynamics),
+        )?
+    };
+    if let Some(cp) = crash {
+        writer.set_crash_point(cp);
+    }
+    opened.writer = Some(Mutex::new(writer));
+    Ok(opened)
+}
+
+/// The settled knobs and the recorder every phase of one run reads.
+struct Phases<'a> {
+    args: &'a ExpArgs,
+    /// The run's registry, when observed.
+    reg: Option<&'a Registry>,
+    /// `reg`, or the null recorder.
+    rec: &'a dyn Recorder,
+    sup_cfg: SuperviseConfig,
+}
+
+impl Phases<'_> {
+    /// Build the world (unless the caller supplied one) and attach the
+    /// recorder before the first probe, so the network-side counters carry
+    /// the whole run regardless of thread count.
+    fn build(&self, scenario: Option<Scenario>) -> Scenario {
+        let mut scenario = {
+            let _s = SpanTimer::start(self.rec, "run/build");
+            scenario.unwrap_or_else(|| build(scenario_config(self.args)))
+        };
+        if let Some(reg) = self.reg {
+            scenario.network.set_recorder(reg);
+        }
+        scenario
+    }
+
+    /// Take the ZMap snapshot, then switch on faults and dynamics. Returns
+    /// the snapshot and the number of scheduled dynamics events.
+    fn snapshot(&self, scenario: &mut Scenario) -> (ZmapSnapshot, u64) {
+        let snapshot = {
+            let _s = SpanTimer::start(self.rec, "run/snapshot");
+            let blocks = scenario.network.allocated_blocks();
+            zmap::scan_threaded(&mut scenario.network, &blocks, self.args.threads)
+        };
+        self.rec.counter("snapshot.probes").add(snapshot.probes);
+
+        // Faults switch on only after the snapshot: selection inputs stay
+        // identical to a loss-free run, so verdicts compare block-for-block.
+        if let Some((loss, rate)) = self.args.faults {
+            scenario
+                .network
+                .set_faults(FaultConfig::lossy(loss as f32, rate as f32));
+        }
+
+        // Dynamics install after the snapshot for the same reason: epoch 0
+        // *is* the frozen world selection saw, and the virtual clock only
+        // starts ticking once classification probes flow.
+        let mut dynamics_events = 0u64;
+        if let Some((rate, period)) = self.args.dynamics {
+            let schedule = derive_dynamics(scenario, rate, period);
+            dynamics_events = schedule.events.len() as u64;
+            scenario.network.set_dynamics(schedule);
+        }
+        (snapshot, dynamics_events)
+    }
+
+    /// The Section 3.3 selection: the selected blocks, then the counts
+    /// rejected for too few active addresses and for an uncovered quarter.
+    fn select(&self, snapshot: &ZmapSnapshot) -> (Vec<SelectedBlock>, usize, usize) {
+        let mut selected = Vec::new();
+        let (mut too_few, mut uncovered) = (0usize, 0usize);
+        {
+            let _s = SpanTimer::start(self.rec, "run/select");
+            for block in snapshot.blocks() {
+                match select_block(snapshot, block) {
+                    Ok(sel) => selected.push(sel),
+                    Err(SelectReject::TooFewActive) => too_few += 1,
+                    Err(SelectReject::UncoveredQuarter) => uncovered += 1,
+                }
+            }
+        }
+        let rec = self.rec;
+        rec.counter("select.selected").add(selected.len() as u64);
+        rec.counter("select.reject_too_few").add(too_few as u64);
+        rec.counter("select.reject_uncovered").add(uncovered as u64);
+        (selected, too_few, uncovered)
+    }
+
+    /// Survey a spread-out sample of selected blocks with full last-hop
+    /// data; blocks whose full data shows homogeneity feed the confidence
+    /// table (the paper's Section 3.2 procedure). Returns the table and
+    /// the probes the surveys spent.
+    fn calibrate(
+        &self,
+        scenario: &mut Scenario,
+        selected: &[SelectedBlock],
+    ) -> (ConfidenceTable, u64) {
+        let _s = SpanTimer::start(self.rec, "run/calibrate");
+        let stride = (selected.len() / CALIBRATION_BLOCKS).max(1);
+        let mut dataset: Vec<BlockLasthopData> = Vec::new();
+        let mut prober = Prober::new(&mut scenario.network, 0xCA11);
+        prober.observe(self.rec);
+        if self.args.faults.is_some() {
+            prober.retries = FAULTED_RETRIES;
+        }
+        for sel in selected.iter().step_by(stride).take(CALIBRATION_BLOCKS) {
+            let survey = survey_block(&mut prober, sel, StoppingRule::confidence95(), false);
+            if survey.per_addr_lasthops.len() >= 8 && detects_homogeneous(&survey.per_addr_lasthops)
+            {
+                dataset.push(survey.lasthop_data());
+            }
+        }
+        let probes = prober.probes_sent();
+        self.rec
+            .counter("calibrate.dataset_blocks")
+            .add(dataset.len() as u64);
+        self.rec.counter("calibrate.probes").add(probes);
+        let table = ConfidenceTable::build(&dataset, 50, 24, 0.95, 8, self.args.seed ^ 0xF16);
+        (table, probes)
+    }
+
+    /// The classifier configuration the run's knobs imply.
+    fn hobbit_config(&self, dynamics_events: u64) -> HobbitConfig {
+        let args = self.args;
+        HobbitConfig {
+            seed: args.seed ^ 0x0B17,
+            prober_retries: if args.faults.is_some() {
+                FAULTED_RETRIES
+            } else {
+                HobbitConfig::default().prober_retries
+            },
+            mda_mode: if args.mda_lite {
+                MdaMode::Lite
+            } else {
+                MdaMode::Classic
+            },
+            // Epoch-tag evidence only when a live schedule exists: an
+            // empty schedule never ticks the clock, and tagging would
+            // change the measurement bytes of a world that never moves.
+            dynamics_period: match args.dynamics {
+                Some((_, period)) if dynamics_events > 0 => period,
+                _ => 0,
+            },
+            ..Default::default()
+        }
+    }
+
+    /// Classify over ONE shared network with work-stealing workers under
+    /// supervision (panic isolation, stall watchdog, checkpoints). Blocks
+    /// recovered from the journal are skipped, not re-measured: every
+    /// block's probe stream depends only on (block, seed), so the rest
+    /// measure exactly what they would have anyway. The outcome's
+    /// measurements include the recovered blocks, in block order.
+    fn classify(
+        &self,
+        scenario: Scenario,
+        selected: &[SelectedBlock],
+        confidence: &ConfidenceTable,
+        hobbit_cfg: &HobbitConfig,
+        hooks: SuperviseHooks<'_>,
+        replayed: Vec<BlockMeasurement>,
+    ) -> (Scenario, SupervisedOutcome) {
+        let Scenario {
+            network,
+            truth,
+            config,
+            pop_routers,
+        } = scenario;
+        let shared = SharedNetwork::new(network);
+
+        let mut skip = vec![false; selected.len()];
+        let mut prefilled: Vec<BlockMeasurement> = Vec::new();
+        if !replayed.is_empty() {
+            let index_of: HashMap<Block24, usize> = selected
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (s.block, i))
+                .collect();
+            for m in replayed {
+                match index_of.get(&m.block) {
+                    Some(&i) if !skip[i] => {
+                        skip[i] = true;
+                        prefilled.push(m);
+                    }
+                    _ => {} // duplicate record or stale selection — remeasure
+                }
+            }
+        }
+        let resumed_blocks = prefilled.len() as u64;
+        SuperviseObs::bind(self.rec).resumed.add(resumed_blocks);
+
+        let hooks = SuperviseHooks {
+            skip: Some(&skip),
+            ..hooks
+        };
+        let mut outcome = {
+            let _s = SpanTimer::start(self.rec, "run/classify");
+            classify_blocks_supervised(
+                &shared,
+                selected,
+                confidence,
+                hobbit_cfg,
+                self.args.threads,
+                self.rec,
+                &self.sup_cfg,
+                &hooks,
+            )
+        };
+        outcome.measurements.extend(prefilled);
+        outcome.measurements.sort_by_key(|m| m.block);
+        outcome.report.resumed_blocks = resumed_blocks;
+
+        let network = shared
+            .try_unwrap()
+            .expect("all worker handles are dropped when the scope ends");
+        let scenario = Scenario {
+            network,
+            truth,
+            config,
+            pop_routers,
+        };
+        (scenario, outcome)
+    }
+
+    /// Journal epilogue: a crashed journal means the "process" died —
+    /// nothing more may be written. A sealed journal (storage fault past
+    /// the retries) propagates its typed error: the on-disk prefix is
+    /// valid and resumable, but the run must not publish a report over
+    /// an incomplete journal.
+    fn epilogue(
+        &self,
+        journal: Option<&Mutex<JournalWriter>>,
+        supervision: &mut SuperviseReport,
+    ) -> Result<(), StorageError> {
+        let Some(j) = journal else {
+            return Ok(());
+        };
+        let mut j = j
+            .lock()
+            .expect("journal lock poisoned: a worker panicked while appending");
+        if j.crashed() {
+            supervision.interrupted = true;
+        } else if let Some(e) = supervision.storage_error.take() {
+            return Err(e);
+        } else {
+            if supervision.shutdown {
+                j.append(&Entry::Shutdown)?;
+            }
+            j.flush()?;
+        }
+        let sup_obs = SuperviseObs::bind(self.rec);
+        sup_obs.journal_appends.add(j.appends());
+        sup_obs.journal_fsyncs.add(j.fsyncs());
+        Ok(())
+    }
 }
 
 /// Per-worker accounting from the classification phase.
@@ -809,74 +805,19 @@ pub struct WorkerStats {
     pub backoff_us: u64,
 }
 
-/// The ICMP ident a block's classification prober uses. Derived from the
-/// block address — never from the worker or shard id — so the probe stream
-/// a block sees is independent of the thread count and of which worker
-/// happens to classify it.
-pub(crate) fn block_ident(block: Block24) -> u16 {
-    0x4000 | (mix2(block.0 as u64, 0x1DE7) as u16 & 0x3FFF)
-}
-
-/// Work-stealing task queues: one deque per worker. A worker pops from the
-/// front of its own queue and, when empty, steals from the *back* of the
-/// fullest other queue — classic locality-preserving stealing, small
-/// enough to not need a lock-free library.
-pub(crate) struct StealQueues {
-    queues: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl StealQueues {
-    /// Split `tasks` task ids into `workers` contiguous chunks.
-    fn new(tasks: usize, workers: usize) -> Self {
-        let ids: Vec<usize> = (0..tasks).collect();
-        StealQueues::from_tasks(&ids, workers)
-    }
-
-    /// Split an explicit task-id list into `workers` contiguous chunks
-    /// (the supervised engine passes only the not-yet-done tasks).
-    pub(crate) fn from_tasks(tasks: &[usize], workers: usize) -> Self {
-        let mut queues: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        let chunk = tasks.len().div_ceil(workers.max(1));
-        for (pos, &t) in tasks.iter().enumerate() {
-            queues[(pos / chunk.max(1)).min(workers - 1)].push_back(t);
-        }
-        StealQueues {
-            queues: queues.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    /// Put a failed task back on `worker`'s own queue (bounded-requeue
-    /// supervision). Goes to the back, so fresh work runs first and a
-    /// repeatedly failing task cannot starve its queue.
-    pub(crate) fn requeue(&self, worker: usize, task: usize) {
-        self.queues[worker].lock().unwrap().push_back(task);
-    }
-
-    /// Next task for `worker`: own queue first, then steal. Returns the
-    /// task id and whether it was stolen; `None` when all queues are dry.
-    pub(crate) fn next(&self, worker: usize) -> Option<(usize, bool)> {
-        if let Some(t) = self.queues[worker].lock().unwrap().pop_front() {
-            return Some((t, false));
-        }
-        // Steal from the victim with the most remaining work.
-        let victim = (0..self.queues.len())
-            .filter(|&v| v != worker)
-            .max_by_key(|&v| self.queues[v].lock().unwrap().len())?;
-        self.queues[victim]
-            .lock()
-            .unwrap()
-            .pop_back()
-            .map(|t| (t, true))
-    }
-}
-
 /// Classify `selected` blocks over one shared network with `threads`
-/// work-stealing workers.
+/// work-stealing workers: [`classify_blocks_supervised`] with no journal,
+/// no injected faults and default supervision, reporting nowhere.
 ///
 /// Each block is classified by a fresh [`Prober`] whose ident derives from
-/// the block address (see [`block_ident`][self]), so results are
-/// deterministic and identical for any thread count. Returns the
-/// measurements in block order plus per-worker accounting.
+/// the block address, so results are deterministic and identical for any
+/// thread count. Returns the measurements in block order plus per-worker
+/// accounting.
+///
+/// # Panics
+///
+/// If supervision quarantined a block — its classifier panicked or stalled
+/// on every attempt — so a classifier bug still fails the caller.
 pub fn classify_blocks(
     net: &SharedNetwork,
     selected: &[SelectedBlock],
@@ -884,91 +825,26 @@ pub fn classify_blocks(
     cfg: &HobbitConfig,
     threads: usize,
 ) -> (Vec<BlockMeasurement>, Vec<WorkerStats>) {
-    classify_blocks_observed(net, selected, confidence, cfg, threads, &NULL_RECORDER)
-}
-
-/// [`classify_blocks`], reporting through `rec`: every worker's prober
-/// shares one set of pre-interned `probe.*` handles and every verdict bumps
-/// the `classify.*` metrics (all deterministic across thread counts), each
-/// block's classification is timed as a `run/classify/block` span, and the
-/// scheduling-dependent shape of the run — thread count, steals, per-worker
-/// shares — goes under the metrics document's `timing` key.
-pub fn classify_blocks_observed(
-    net: &SharedNetwork,
-    selected: &[SelectedBlock],
-    confidence: &ConfidenceTable,
-    cfg: &HobbitConfig,
-    threads: usize,
-    rec: &dyn Recorder,
-) -> (Vec<BlockMeasurement>, Vec<WorkerStats>) {
-    let threads = effective_threads(threads, selected.len());
-    if selected.is_empty() {
-        return (Vec::new(), vec![WorkerStats::default(); threads]);
-    }
-    let probe_obs = ProbeObs::bind(rec);
-    let classify_obs = ClassifyObs::bind(rec);
-    let queues = StealQueues::new(selected.len(), threads);
-    let mut slots: Vec<Option<BlockMeasurement>> = (0..selected.len()).map(|_| None).collect();
-    let mut worker_stats = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let queues = &queues;
-                let handle = net.clone();
-                let probe_obs = probe_obs.clone();
-                let classify_obs = classify_obs.clone();
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut stats = WorkerStats::default();
-                    while let Some((idx, stolen)) = queues.next(w) {
-                        let _block_span = SpanTimer::start(rec, "run/classify/block");
-                        let sel = &selected[idx];
-                        let mut prober = Prober::shared(handle.clone(), block_ident(sel.block));
-                        prober.set_obs(probe_obs.clone());
-                        let m = classify_block_observed(
-                            &mut prober,
-                            sel,
-                            confidence,
-                            cfg,
-                            &classify_obs,
-                        );
-                        stats.blocks += 1;
-                        stats.probes += prober.probes_sent();
-                        stats.rtt_us += prober.rtt_total_us();
-                        stats.steals += stolen as u64;
-                        stats.drops += prober.drops();
-                        stats.retries += prober.retries_used();
-                        stats.backoff_us += prober.backoff_total_us();
-                        out.push((idx, m));
-                    }
-                    (out, stats)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (results, stats) = h.join().expect("classification worker panicked");
-            for (idx, m) in results {
-                slots[idx] = Some(m);
-            }
-            worker_stats.push(stats);
-        }
-    });
-    rec.timing_value("scheduling/threads", threads as u64);
-    rec.timing_value(
-        "scheduling/steals",
-        worker_stats.iter().map(|s| s.steals).sum(),
+    let outcome = classify_blocks_supervised(
+        net,
+        selected,
+        confidence,
+        cfg,
+        threads,
+        &NULL_RECORDER,
+        &SuperviseConfig::default(),
+        &SuperviseHooks::default(),
     );
-    for (i, s) in worker_stats.iter().enumerate() {
-        rec.timing_value(&format!("scheduling/worker{i:02}/blocks"), s.blocks as u64);
-        rec.timing_value(&format!("scheduling/worker{i:02}/probes"), s.probes);
-        rec.timing_value(&format!("scheduling/worker{i:02}/steals"), s.steals);
+    if let Some(q) = outcome.report.quarantined.first() {
+        panic!(
+            "classification quarantined block {} after {} {} attempts: {}",
+            q.block,
+            q.attempts,
+            q.reason.label(),
+            q.detail
+        );
     }
-    let mut measurements: Vec<BlockMeasurement> = slots
-        .into_iter()
-        .map(|s| s.expect("every selected block is classified exactly once"))
-        .collect();
-    measurements.sort_by_key(|m| m.block);
-    (measurements, worker_stats)
+    (outcome.measurements, outcome.worker_stats)
 }
 
 /// The deterministic outcome of a run, serialized by
@@ -1013,70 +889,6 @@ struct DynamicsSummary {
 /// Version tag of the canonical report document.
 pub const REPORT_SCHEMA: &str = "hobbit-report/v1";
 
-/// Classification counts over a measurement list, in the fixed label
-/// order the canonical report uses.
-pub(crate) fn classification_counts_of(
-    measurements: &[BlockMeasurement],
-) -> Vec<(hobbit::Classification, usize)> {
-    use hobbit::Classification::*;
-    [
-        TooFewActive,
-        UnresponsiveLasthop,
-        SameLasthop,
-        NonHierarchical,
-        Hierarchical,
-    ]
-    .into_iter()
-    .map(|c| {
-        (
-            c,
-            measurements
-                .iter()
-                .filter(|m| m.classification == c)
-                .count(),
-        )
-    })
-    .collect()
-}
-
-/// Render the canonical report document from its deterministic inputs.
-/// [`Pipeline::canonical_report`] and the coordinator's shard-merge both
-/// funnel through here — one serializer, one byte layout — which is what
-/// makes a merged sharded run byte-identical to a single-process run.
-#[allow(clippy::too_many_arguments)] // one positional slot per report field
-pub(crate) fn render_canonical_report(
-    seed: u64,
-    selected: u64,
-    reject_too_few: u64,
-    reject_uncovered: u64,
-    calibration_probes: u64,
-    dynamics: Option<(f64, u64, u64)>,
-    measurements: &[BlockMeasurement],
-    quarantined: &[(u64, Block24, u32, String)],
-) -> String {
-    let report = CanonicalReport {
-        schema: REPORT_SCHEMA.to_string(),
-        seed,
-        selected,
-        reject_too_few,
-        reject_uncovered,
-        calibration_probes,
-        classify_probes: measurements.iter().map(|m| m.probes_used).sum(),
-        classifications: classification_counts_of(measurements)
-            .into_iter()
-            .map(|(c, n)| (c.label().to_string(), n as u64))
-            .collect(),
-        dynamics: dynamics.map(|(rate, period, events)| DynamicsSummary {
-            rate,
-            period,
-            events,
-        }),
-        measurements: measurements.to_vec(),
-        quarantined: quarantined.to_vec(),
-    };
-    serde_json::to_string(&report).expect("canonical report serializes")
-}
-
 impl Pipeline {
     /// Start configuring a pipeline run.
     pub fn builder() -> PipelineBuilder {
@@ -1097,30 +909,40 @@ impl Pipeline {
     /// contract of the checkpoint subsystem); tests compare these strings
     /// directly.
     pub fn canonical_report(&self) -> String {
-        let quarantined: Vec<(u64, Block24, u32, String)> = self
-            .supervision
-            .quarantined
-            .iter()
-            .map(|q| {
-                (
-                    q.index as u64,
-                    q.block,
-                    q.attempts,
-                    q.reason.label().to_string(),
-                )
-            })
-            .collect();
-        render_canonical_report(
-            self.scenario.config.seed,
-            self.selected.len() as u64,
-            self.reject_too_few as u64,
-            self.reject_uncovered as u64,
-            self.calibration_probes,
-            self.dynamics
-                .map(|(rate, period)| (rate, period, self.dynamics_events)),
-            &self.measurements,
-            &quarantined,
-        )
+        let report = CanonicalReport {
+            schema: REPORT_SCHEMA.to_string(),
+            seed: self.scenario.config.seed,
+            selected: self.selected.len() as u64,
+            reject_too_few: self.reject_too_few as u64,
+            reject_uncovered: self.reject_uncovered as u64,
+            calibration_probes: self.calibration_probes,
+            classify_probes: self.measurements.iter().map(|m| m.probes_used).sum(),
+            classifications: self
+                .classification_counts()
+                .into_iter()
+                .map(|(c, n)| (c.label().to_string(), n as u64))
+                .collect(),
+            dynamics: self.dynamics.map(|(rate, period)| DynamicsSummary {
+                rate,
+                period,
+                events: self.dynamics_events,
+            }),
+            measurements: self.measurements.clone(),
+            quarantined: self
+                .supervision
+                .quarantined
+                .iter()
+                .map(|q| {
+                    (
+                        q.index as u64,
+                        q.block,
+                        q.attempts,
+                        q.reason.label().to_string(),
+                    )
+                })
+                .collect(),
+        };
+        serde_json::to_string(&report).expect("canonical report serializes")
     }
 
     /// The recorder post-pipeline phases should report through: the run's
@@ -1228,9 +1050,27 @@ impl Pipeline {
         self.snapshot.active_in(block).to_vec()
     }
 
-    /// Count measurements per classification.
+    /// Count measurements per classification, in the fixed label order the
+    /// canonical report uses.
     pub fn classification_counts(&self) -> Vec<(hobbit::Classification, usize)> {
-        classification_counts_of(&self.measurements)
+        use hobbit::Classification::*;
+        [
+            TooFewActive,
+            UnresponsiveLasthop,
+            SameLasthop,
+            NonHierarchical,
+            Hierarchical,
+        ]
+        .into_iter()
+        .map(|c| {
+            let n = self
+                .measurements
+                .iter()
+                .filter(|m| m.classification == c)
+                .count();
+            (c, n)
+        })
+        .collect()
     }
 }
 
@@ -1370,20 +1210,6 @@ mod tests {
             clean.snapshot.total_active(),
             "snapshot is taken before faults switch on"
         );
-    }
-
-    #[test]
-    fn steal_queues_drain_exactly_once() {
-        let q = StealQueues::new(10, 3);
-        let mut seen = vec![0u32; 10];
-        // Worker 2's own queue drains first; it then steals.
-        for w in [2, 2, 2, 2, 0, 0, 0, 1, 1, 1, 2, 0, 1] {
-            if let Some((t, _)) = q.next(w) {
-                seen[t] += 1;
-            }
-        }
-        assert!(seen.iter().all(|&n| n == 1), "{seen:?}");
-        assert!(q.next(0).is_none());
     }
 
     #[test]

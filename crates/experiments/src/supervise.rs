@@ -31,16 +31,18 @@
 //! and the retry measures exactly what an uninjected run would.
 
 use crate::journal::{Entry, JournalWriter};
-use crate::pipeline::{block_ident, StealQueues, WorkerStats};
+use crate::pipeline::WorkerStats;
 use crate::vfs::StorageError;
 use hobbit::{
     classify_block_observed, BlockMeasurement, ClassifyObs, ConfidenceTable, HobbitConfig,
     SelectedBlock,
 };
+use netsim::hash::mix2;
 use netsim::{Block24, SharedNetwork};
 use obs::{Counter, Recorder, SpanTimer};
 use probe::{CancelToken, ProbeObs, Prober};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -250,12 +252,100 @@ enum AttemptOutcome {
     Stalled,
 }
 
-/// [`crate::pipeline::classify_blocks_observed`] with supervision: panic
+/// Resolve a thread-count argument (0 = all cores) against the work size.
+fn effective_threads(requested: usize, tasks: usize) -> usize {
+    let n = if requested == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    } else {
+        requested
+    };
+    n.clamp(1, tasks.max(1))
+}
+
+/// The ICMP ident a block's classification prober uses. Derived from the
+/// block address — never from the worker id — so the probe stream a block
+/// sees is independent of the thread count and of which worker happens to
+/// classify it.
+fn block_ident(block: Block24) -> u16 {
+    0x4000 | (mix2(block.0 as u64, 0x1DE7) as u16 & 0x3FFF)
+}
+
+/// Work-stealing task queues: one deque per worker. A worker pops from the
+/// front of its own queue and, when empty, steals from the *back* of the
+/// fullest other queue — classic locality-preserving stealing, small
+/// enough to not need a lock-free library.
+struct StealQueues {
+    queues: Vec<Mutex<VecDeque<usize>>>,
+}
+
+impl StealQueues {
+    /// Split a task-id list into `workers` contiguous chunks.
+    fn from_tasks(tasks: &[usize], workers: usize) -> Self {
+        let mut queues: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
+        let chunk = tasks.len().div_ceil(workers.max(1));
+        for (pos, &t) in tasks.iter().enumerate() {
+            queues[(pos / chunk.max(1)).min(workers - 1)].push_back(t);
+        }
+        StealQueues {
+            queues: queues.into_iter().map(Mutex::new).collect(),
+        }
+    }
+
+    /// Put a failed task back on `worker`'s own queue (bounded-requeue
+    /// supervision). Goes to the back, so fresh work runs first and a
+    /// repeatedly failing task cannot starve its queue.
+    fn requeue(&self, worker: usize, task: usize) {
+        self.queues[worker]
+            .lock()
+            .expect("steal queue lock poisoned")
+            .push_back(task);
+    }
+
+    /// Next task for `worker`: own queue first, then steal. Returns the
+    /// task id and whether it was stolen; `None` when all queues are dry.
+    fn next(&self, worker: usize) -> Option<(usize, bool)> {
+        if let Some(t) = self.queues[worker]
+            .lock()
+            .expect("steal queue lock poisoned")
+            .pop_front()
+        {
+            return Some((t, false));
+        }
+        // Steal from the victim with the most remaining work.
+        let victim = (0..self.queues.len())
+            .filter(|&v| v != worker)
+            .max_by_key(|&v| {
+                self.queues[v]
+                    .lock()
+                    .expect("steal queue lock poisoned")
+                    .len()
+            })?;
+        self.queues[victim]
+            .lock()
+            .expect("steal queue lock poisoned")
+            .pop_back()
+            .map(|t| (t, true))
+    }
+}
+
+/// The classification engine: `threads` work-stealing workers classify
+/// `selected` over one shared network under supervision — panic
 /// isolation, a stall watchdog, bounded requeue, quarantine, shutdown
-/// draining, and journal checkpointing. With all hooks off it measures
-/// exactly what the plain engine measures, block for block — supervision
-/// only adds containment, never probes.
-#[allow(clippy::too_many_arguments)] // mirrors classify_blocks_observed + the supervision pair
+/// draining, and journal checkpointing. Supervision only adds
+/// containment, never probes: each block gets a fresh prober whose ident
+/// derives from the block address, so every measurement is identical for
+/// any thread count and any schedule.
+///
+/// Every worker's prober shares one set of pre-interned `probe.*` handles
+/// and every verdict bumps the `classify.*` metrics in `rec` (all
+/// deterministic across thread counts); each block is timed as a
+/// `run/classify/block` span, and the scheduling-dependent shape of the
+/// run — thread count, steals, per-worker shares — goes under the metrics
+/// document's `timing` key. [`crate::classify_blocks`] is this engine with
+/// every hook off.
+#[allow(clippy::too_many_arguments)] // the classify inputs + the supervision pair
 pub fn classify_blocks_supervised(
     net: &SharedNetwork,
     selected: &[SelectedBlock],
@@ -269,7 +359,7 @@ pub fn classify_blocks_supervised(
     let tasks: Vec<usize> = (0..selected.len())
         .filter(|&i| hooks.skip.map(|s| !s[i]).unwrap_or(true))
         .collect();
-    let threads = crate::pipeline::effective_threads(threads, tasks.len());
+    let threads = effective_threads(threads, tasks.len());
     let obs = SuperviseObs::bind(rec);
     if tasks.is_empty() {
         return SupervisedOutcome {
@@ -525,6 +615,20 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn steal_queues_drain_exactly_once() {
+        let q = StealQueues::from_tasks(&(0..10).collect::<Vec<_>>(), 3);
+        let mut seen = vec![0u32; 10];
+        // Worker 2's own queue drains first; it then steals.
+        for w in [2, 2, 2, 2, 0, 0, 0, 1, 1, 1, 2, 0, 1] {
+            if let Some((t, _)) = q.next(w) {
+                seen[t] += 1;
+            }
+        }
+        assert!(seen.iter().all(|&n| n == 1), "{seen:?}");
+        assert!(q.next(0).is_none());
+    }
 
     #[test]
     fn shutdown_signal_is_shared_across_clones() {

@@ -1,5 +1,5 @@
 //! The storage seam: every filesystem operation the run-dir machinery
-//! performs — open/append/read/fsync/atomic-rename/remove/list/mtime —
+//! performs — open/append/read/fsync, and the corpus saves' rename —
 //! goes through the [`Vfs`] trait, so disk failures are injectable the
 //! same way netsim packet loss already is.
 //!
@@ -8,9 +8,8 @@
 //! seeded, per-operation fault schedule injecting the failure modes real
 //! long-running surveys meet: ENOSPC (persistent — the disk stays full),
 //! EIO (transient), short writes that persist a prefix, renames that tear
-//! (target missing, or source lingering beside a complete copy), fsyncs
-//! that report success but durably lose the batch, and mtimes from the
-//! future (backwards clock jumps).
+//! (target missing, or source lingering beside a complete copy), and
+//! fsyncs that report success but durably lose the batch.
 //!
 //! # The `StorageError` taxonomy
 //!
@@ -18,13 +17,13 @@
 //! every failure as [`StorageErrorKind::Transient`] (worth a bounded,
 //! capped-exponential retry — deliberately the prober's backoff shape),
 //! [`StorageErrorKind::Persistent`] (retry cannot help; the caller enters
-//! its degraded mode: a journal seals itself, a worker self-quarantines
-//! its shard, a coordinator revokes and reassigns), or
+//! its degraded mode: a journal seals itself and the run stops with the
+//! typed error), or
 //! [`StorageErrorKind::Corruption`] (bytes came back wrong; the valid
 //! journal prefix is still resumable). The hard invariant, enforced by
 //! `tests/storage_chaos.rs`: a run either produces a byte-identical
 //! `hobbit-report/v1` or fails with one of these typed errors — never a
-//! silently corrupted journal, lease, or report.
+//! silently corrupted journal or report.
 
 #![deny(clippy::unwrap_used)]
 
@@ -45,10 +44,6 @@ const ENOSPC: i32 = 28;
 
 /// Raw `errno` of EIO on Linux.
 const EIO: i32 = 5;
-
-/// How far in the future a skewed mtime lands: far past any heartbeat
-/// timeout, so an unbounded staleness computation would wedge forever.
-pub const CHAOS_MTIME_SKEW: Duration = Duration::from_secs(3600);
 
 // ---------------------------------------------------------------------------
 // The trait.
@@ -79,7 +74,7 @@ pub trait Vfs: Send + Sync + fmt::Debug {
     /// Create or truncate `path` with `bytes` (no fsync).
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
     /// Atomically create `path` with `bytes`, failing with
-    /// `AlreadyExists` if it exists (the coordinator lock).
+    /// `AlreadyExists` if it exists.
     fn create_new(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
     /// `rename(2)` — atomic replacement within a directory.
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
@@ -185,8 +180,6 @@ pub enum FaultKind {
     /// The fsync reports success but everything since the last real sync
     /// is durably gone.
     FsyncLie,
-    /// The mtime comes back [`CHAOS_MTIME_SKEW`] in the future.
-    SkewMtime,
 }
 
 /// Operation classes a chaos schedule indexes (scripted faults name the
@@ -283,10 +276,12 @@ impl ChaosCore {
                 FaultKind::FsyncLie
             }),
             OpKind::Rename => Some(FaultKind::TornRename),
-            OpKind::Mtime => Some(FaultKind::SkewMtime),
-            OpKind::Mkdir | OpKind::Open | OpKind::Read | OpKind::Remove | OpKind::List => {
-                Some(FaultKind::Eio)
-            }
+            OpKind::Mkdir
+            | OpKind::Open
+            | OpKind::Read
+            | OpKind::Remove
+            | OpKind::Mtime
+            | OpKind::List => Some(FaultKind::Eio),
         }
     }
 
@@ -360,13 +355,6 @@ impl ChaosVfs {
             StorageSabotage::TornRename { at_rename } => {
                 ChaosVfs::scripted(vec![(OpKind::Rename, at_rename, FaultKind::TornRename)])
             }
-            // Skew every mtime read: the plan models a clock that jumped
-            // backwards and stays wrong.
-            StorageSabotage::ClockSkew { .. } => ChaosVfs::scripted(
-                (0..1024)
-                    .map(|i| (OpKind::Mtime, i, FaultKind::SkewMtime))
-                    .collect(),
-            ),
         }
     }
 
@@ -542,11 +530,6 @@ impl Vfs for ChaosVfs {
     fn mtime(&self, path: &Path) -> io::Result<SystemTime> {
         match self.core.draw(OpKind::Mtime) {
             None => RealVfs.mtime(path),
-            Some(FaultKind::SkewMtime) => {
-                // A "backwards clock jump": the file's stamp sits in the
-                // caller's future. Staleness math must bound this.
-                Ok(RealVfs.mtime(path)? + CHAOS_MTIME_SKEW)
-            }
             Some(_) => Err(ChaosCore::eio()),
         }
     }
@@ -570,8 +553,8 @@ pub enum StorageErrorKind {
     /// Retry cannot help (ENOSPC, missing file, exhausted retries escalate
     /// here semantically): the caller enters its degraded mode.
     Persistent,
-    /// Bytes came back wrong (failed decode, missing meta record): the
-    /// valid journal prefix is still resumable, the tail is not.
+    /// Bytes came back wrong (failed decode, missing meta record, synced
+    /// bytes the device dropped): retrying cannot help.
     Corruption,
 }
 
@@ -581,7 +564,7 @@ pub enum StorageErrorKind {
 pub struct StorageError {
     /// Taxonomy class.
     pub kind: StorageErrorKind,
-    /// The mediated operation (`"journal.append"`, `"lease.store"`, …).
+    /// The mediated operation (`"journal.append"`, `"rename"`, …).
     pub op: &'static str,
     /// The path the operation targeted.
     pub path: PathBuf,
@@ -651,9 +634,7 @@ impl fmt::Display for StorageError {
                 "persistent; free the disk or move the run dir, then resume \
                  — the journal re-measures only the lost tail"
             }
-            StorageErrorKind::Corruption => {
-                "corruption; the valid journal prefix is still resumable"
-            }
+            StorageErrorKind::Corruption => "corruption; retrying cannot help",
         };
         write!(
             f,
@@ -708,8 +689,7 @@ pub struct StorageObs {
     pub faults_seen: Counter,
     /// `storage.retried` — attempts re-issued after a transient fault.
     pub retried: Counter,
-    /// `storage.quarantined` — degraded-mode entries: journals sealed,
-    /// shards self-quarantined.
+    /// `storage.quarantined` — degraded-mode entries (journals sealed).
     pub quarantined: Counter,
 }
 
@@ -730,7 +710,7 @@ impl Default for StorageObs {
     }
 }
 
-/// The handle the journal, leases, and coordinator do storage through: a
+/// The handle the journal and corpus saves do storage through: a
 /// [`Vfs`] plus the [`RetryPolicy`] and `storage.*` counters. Cloning
 /// shares the underlying VFS (and its chaos schedule) and counters.
 #[derive(Clone)]
@@ -790,11 +770,6 @@ impl Storage {
     /// Re-bind the `storage.*` counters into `rec`.
     pub fn observe(&mut self, rec: &dyn Recorder) {
         self.obs = StorageObs::bind(rec);
-    }
-
-    /// The underlying VFS.
-    pub fn vfs(&self) -> &dyn Vfs {
-        &*self.vfs
     }
 
     /// The bound `storage.*` counters.
@@ -866,69 +841,14 @@ impl Storage {
         self.retried("read", path, || self.vfs.read(path))
     }
 
-    /// Whole-file read as UTF-8, retried.
-    pub fn read_to_string(&self, path: &Path) -> Result<String, StorageError> {
-        let bytes = self.read(path)?;
-        String::from_utf8(bytes)
-            .map_err(|e| StorageError::corruption("read", path, format!("not UTF-8: {e}")))
-    }
-
     /// Whole-file write, retried.
     pub fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
         self.retried("write", path, || self.vfs.write(path, bytes))
     }
 
-    /// Exclusive create (the coordinator lock). NOT retried on
-    /// `AlreadyExists` — that is the lock doing its job.
-    pub fn create_new(&self, path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
-        self.retried("create-new", path, || self.vfs.create_new(path, bytes))
-    }
-
     /// Rename, retried.
     pub fn rename(&self, from: &Path, to: &Path) -> Result<(), StorageError> {
         self.retried("rename", to, || self.vfs.rename(from, to))
-    }
-
-    /// Remove, retried.
-    pub fn remove_file(&self, path: &Path) -> Result<(), StorageError> {
-        self.retried("remove", path, || self.vfs.remove_file(path))
-    }
-
-    /// Existence check (never faults — a stat that lies is a skewed
-    /// mtime, which `mtime` models).
-    pub fn exists(&self, path: &Path) -> bool {
-        self.vfs.exists(path)
-    }
-
-    /// mtime read, retried. The *value* may still lie (skew) — staleness
-    /// consumers must bound it.
-    pub fn mtime(&self, path: &Path) -> Result<SystemTime, StorageError> {
-        self.retried("mtime", path, || self.vfs.mtime(path))
-    }
-
-    /// Directory listing, retried.
-    pub fn list_dir(&self, path: &Path) -> Result<Vec<PathBuf>, StorageError> {
-        self.retried("list", path, || self.vfs.list_dir(path))
-    }
-
-    /// Atomic whole-file replace: write `bytes` to `tmp`, fsync, rename
-    /// onto `target`. The *whole sequence* retries on transient faults —
-    /// rewriting the temp file from scratch each attempt heals short
-    /// writes and either flavour of torn rename (a reader of `target`
-    /// sees the old content or the new, never a prefix).
-    pub fn atomic_write(
-        &self,
-        tmp: &Path,
-        target: &Path,
-        bytes: &[u8],
-    ) -> Result<(), StorageError> {
-        self.retried("atomic-write", target, || {
-            let mut f = self.vfs.open_write(tmp, true)?;
-            f.append(bytes)?;
-            f.sync()?;
-            drop(f);
-            self.vfs.rename(tmp, target)
-        })
     }
 }
 
@@ -966,17 +886,17 @@ mod tests {
         let p = dir.join("x.txt");
         s.write(&p, b"hello").unwrap();
         assert_eq!(s.read(&p).unwrap(), b"hello");
-        assert!(s.exists(&p));
-        assert!(s.mtime(&p).is_ok());
         let mut f = s.open_write(&p, false).unwrap();
         f.append(b" world").unwrap();
         f.sync().unwrap();
         assert_eq!(f.len().unwrap(), 11);
         drop(f);
-        assert_eq!(s.read_to_string(&p).unwrap(), "hello world");
-        assert_eq!(s.list_dir(&dir).unwrap(), vec![p.clone()]);
-        s.remove_file(&p).unwrap();
-        assert!(!s.exists(&p));
+        assert_eq!(s.read(&p).unwrap(), b"hello world");
+        assert!(RealVfs.exists(&p));
+        assert!(RealVfs.mtime(&p).is_ok());
+        assert_eq!(RealVfs.list_dir(&dir).unwrap(), vec![p.clone()]);
+        RealVfs.remove_file(&p).unwrap();
+        assert!(!RealVfs.exists(&p));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1035,24 +955,6 @@ mod tests {
     }
 
     #[test]
-    fn torn_renames_never_expose_a_prefix_and_atomic_write_heals() {
-        for at in [0u64, 1] {
-            let dir = tmpdir(&format!("torn{at}"));
-            let target = dir.join("t");
-            let tmp = dir.join(".t.tmp");
-            let s = Storage::with_chaos(ChaosVfs::scripted(vec![(
-                OpKind::Rename,
-                at,
-                FaultKind::TornRename,
-            )]));
-            s.write(&target, b"old").unwrap();
-            s.atomic_write(&tmp, &target, b"new-content").unwrap();
-            assert_eq!(s.read(&target).unwrap(), b"new-content");
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
-    }
-
-    #[test]
     fn enospc_is_persistent_and_classified() {
         let dir = tmpdir("full");
         let s = Storage::with_chaos(ChaosVfs::scripted(vec![(
@@ -1099,22 +1001,6 @@ mod tests {
         assert_eq!(err.kind, StorageErrorKind::Transient);
         assert_eq!(err.retries as u64 + 1, s.retry.attempts as u64);
         assert!(err.to_string().contains("retries exhausted"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn skewed_mtime_comes_back_from_the_future() {
-        let dir = tmpdir("skew");
-        let p = dir.join("f");
-        std::fs::write(&p, b"x").unwrap();
-        let s = Storage::with_chaos(ChaosVfs::from_plan(&StorageSabotage::ClockSkew {
-            skew_secs: 3600,
-        }));
-        let skewed = s.mtime(&p).unwrap();
-        assert!(
-            skewed > SystemTime::now() + Duration::from_secs(3000),
-            "mtime must land in the future"
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

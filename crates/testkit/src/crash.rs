@@ -42,34 +42,6 @@ pub enum CrashPlan {
         /// Sabotaged task (selection-order index).
         task: usize,
     },
-    /// Multi-process sharded run: kill shard worker `shard` once it has
-    /// journaled `appends` block records (`torn` leaves a partial record).
-    /// The coordinator must revoke the lease and respawn the shard, which
-    /// resumes from its own journal.
-    KillWorker {
-        /// Sabotaged shard index.
-        shard: usize,
-        /// Block records journaled before the kill.
-        appends: u64,
-        /// Leave a torn (partial) record at the shard journal's tail.
-        torn: bool,
-    },
-    /// Multi-process sharded run: shard worker `shard` heartbeats once,
-    /// then wedges. The coordinator's missed-heartbeat path must kill and
-    /// replace the incarnation.
-    StallWorker {
-        /// Sabotaged shard index.
-        shard: usize,
-    },
-    /// Multi-process sharded run: kill the *coordinator* at a quiescent
-    /// point. With `before_merge`, every worker has finished and only the
-    /// shard-merge is outstanding; otherwise the kill lands after the
-    /// leases are written but before any worker spawns. Re-running the
-    /// coordinator on the same run dir must complete the run.
-    KillCoordinator {
-        /// Kill after all workers finished, before the merge.
-        before_merge: bool,
-    },
 }
 
 /// The kill points worth sweeping for a run of `total_blocks` checkpointed
@@ -152,13 +124,6 @@ mod tests {
             CrashPlan::PanicOnce { worker: 1, task: 9 },
             CrashPlan::PanicAlways { task: 3 },
             CrashPlan::StallOnce { task: 0 },
-            CrashPlan::KillWorker {
-                shard: 1,
-                appends: 12,
-                torn: true,
-            },
-            CrashPlan::StallWorker { shard: 0 },
-            CrashPlan::KillCoordinator { before_merge: true },
         ];
         for p in plans {
             let s = serde_json::to_string(&p).unwrap();

@@ -4,8 +4,8 @@
 //! A plan describes *what the filesystem does to the run*, not how the
 //! engine reacts: a seeded per-operation fault schedule, or one targeted
 //! fault at a specific operation. The experiments crate's `ChaosVfs`
-//! consumes these plans and injects the faults underneath the journal,
-//! lease, and coordinator machinery; the chaos sweep in
+//! consumes these plans and injects the faults underneath the journal and
+//! the corpus saves; the chaos sweep in
 //! `tests/storage_chaos.rs` then asserts the hard invariant that every
 //! sabotaged run either produces a byte-identical `hobbit-report/v1` or
 //! fails with a typed, actionable `StorageError` — never a silently
@@ -52,12 +52,6 @@ pub enum StorageSabotage {
     TornRename {
         /// Zero-based index among rename operations.
         at_rename: u64,
-    },
-    /// Every mtime the engine reads comes back from the future — the
-    /// backwards-clock-jump regression (lease heartbeat staleness).
-    ClockSkew {
-        /// How far in the future, seconds.
-        skew_secs: u64,
     },
 }
 

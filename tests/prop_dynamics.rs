@@ -1,12 +1,11 @@
 //! Property tests for the time-evolving dynamics layer: the derived
 //! schedule is a pure function of `(seed, rate, period)` and monotone in
 //! the rate, a dynamic world classifies thread-invariantly in both MDA
-//! modes, partitioning a dynamic run over shards never changes a
+//! modes, classifying any subset of the blocks never changes a
 //! measurement byte (the virtual clock is per-stream, not global), and an
 //! armed-but-empty schedule is byte-invisible.
 
 use experiments::classify_blocks;
-use experiments::lease::shard_of;
 use hobbit::{select_all, BlockMeasurement, ConfidenceTable, SelectedBlock};
 use netsim::build::{build, derive_dynamics, ScenarioConfig};
 use netsim::SharedNetwork;
@@ -58,8 +57,8 @@ fn dynamic_spec(seed: u64) -> ScenarioSpec {
 }
 
 /// Build, snapshot, arm faults + dynamics, classify `subset` — the same
-/// sequence a shard worker runs, with a fresh world per call so no probing
-/// state leaks between partitions.
+/// sequence a resumed run replays for the blocks its journal lacks, with a
+/// fresh world per call so no probing state leaks between subsets.
 fn classify_subset(
     spec: &ScenarioSpec,
     subset: &[SelectedBlock],
@@ -76,8 +75,8 @@ fn classify_subset(
     classify_blocks(&shared, subset, &ConfidenceTable::empty(), &cfg, threads).0
 }
 
-/// The selection a full run and every shard agree on (selection reads the
-/// epoch-0 snapshot, before the schedule arms).
+/// The selection a full run and every subset agree on (selection reads
+/// the epoch-0 snapshot, before the schedule arms).
 fn selection_of(spec: &ScenarioSpec) -> Vec<SelectedBlock> {
     let mut world = build_world(spec);
     let snapshot = zmap::scan_all(&mut world.network);
@@ -87,8 +86,8 @@ fn selection_of(spec: &ScenarioSpec) -> Vec<SelectedBlock> {
 proptest! {
     /// `derive_dynamics` is a pure function of `(seed, rate, period)`:
     /// re-building the scenario and re-deriving yields the identical
-    /// schedule (this is what lets `--resume` and every shard replay the
-    /// world evolution from three numbers in the journal). The per-PoP
+    /// schedule (this is what lets `--resume` replay the world evolution
+    /// from three numbers in the journal). The per-PoP
     /// draws are rate-monotone — a higher rate perturbs a superset of the
     /// PoPs with the same events — and a zero rate or period derives
     /// nothing at all.
@@ -154,27 +153,30 @@ proptest! {
         }
     }
 
-    /// Partitioning a dynamic run over shards is invisible in the
-    /// measurement bytes: the virtual clock ticks per probe stream (ICMP
-    /// ident × destination block), so which worker probes a block — and
-    /// alongside which other blocks — cannot move any block's epochs.
+    /// Block-subset invariance: classifying the blocks of a dynamic run
+    /// in disjoint subsets, each over a fresh world, measures the same
+    /// bytes as classifying them all at once. The virtual clock ticks per
+    /// probe stream (ICMP ident × destination block), and idents derive
+    /// from the block, so which blocks share a run — the situation of a
+    /// resume, which re-measures only what its journal lacks — cannot move
+    /// any block's epochs.
     #[test]
-    fn shard_partition_never_changes_dynamic_measurement_bytes(
+    fn block_subsets_never_change_dynamic_measurement_bytes(
         seed in 0u64..50_000,
-        shards in 2usize..5,
+        parts in 2usize..5,
     ) {
         let spec = dynamic_spec(seed);
         let selected = selection_of(&spec);
         if selected.is_empty() {
-            // All planted blocks below the selection bar — nothing to shard.
+            // All planted blocks below the selection bar — nothing to split.
             continue;
         }
         let full = classify_subset(&spec, &selected, 1);
         let mut slots: Vec<Option<BlockMeasurement>> =
             (0..selected.len()).map(|_| None).collect();
-        for s in 0..shards {
+        for part in 0..parts {
             let idx: Vec<usize> = (0..selected.len())
-                .filter(|&i| shard_of(i, shards) == s)
+                .filter(|&i| i % parts == part)
                 .collect();
             let subset: Vec<SelectedBlock> =
                 idx.iter().map(|&i| selected[i].clone()).collect();
@@ -189,7 +191,7 @@ proptest! {
         prop_assert_eq!(
             serde_json::to_string(&full).unwrap(),
             serde_json::to_string(&merged).unwrap(),
-            "seed {} over {} shards", seed, shards
+            "seed {} over {} subsets", seed, parts
         );
     }
 

@@ -7,13 +7,10 @@
 //! as a valid prefix of the clean run, and resuming it on a healthy disk
 //! must land on the same report bytes.
 
-use experiments::coordinator::{run_sharded, CoordinatorConfig, REPORT_FILE};
 use experiments::journal::{read_journal, JOURNAL_FILE};
-use experiments::lease::{is_done, shard_dir};
 use experiments::vfs::{ChaosVfs, FaultKind, OpKind, Storage, StorageErrorKind};
 use experiments::Pipeline;
 use hobbit::BlockMeasurement;
-use obs::Registry;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -59,8 +56,8 @@ fn baseline() -> &'static Baseline {
 
 /// Run dirs live under `HOBBIT_CHAOS_DIR` (CI points this at a workspace
 /// path so failing run-dirs survive as artifacts) or the system temp dir.
-/// Passing tests remove their dirs; a failing test leaves the journal,
-/// leases, and chaos schedule tag behind for post-mortem.
+/// Passing tests remove their dirs; a failing test leaves the journal
+/// and chaos schedule tag behind for post-mortem.
 fn run_dir(tag: &str) -> PathBuf {
     let base = std::env::var_os("HOBBIT_CHAOS_DIR")
         .map(PathBuf::from)
@@ -261,43 +258,6 @@ fn fsync_lie_mid_run_is_detected_and_fails_typed() {
         .run();
     assert_eq!(resumed.supervision.resumed_blocks, journaled as u64);
     assert_identical(&resumed.canonical_report(), "post-fsync-lie resume");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// The worker executable cargo built alongside this test.
-fn worker_exe() -> PathBuf {
-    PathBuf::from(env!("CARGO_BIN_EXE_hobbit_shard"))
-}
-
-/// A sharded run under `--storage-chaos`: every shard's first incarnation
-/// runs on a decorrelated fault schedule. A shard that trips a persistent
-/// fault self-quarantines (exits without a done marker), the coordinator
-/// revokes and respawns it on a clean disk, and the merged report is
-/// byte-identical to the single-process run.
-#[test]
-fn sharded_chaos_self_quarantines_respawns_and_merges_identical() {
-    let shards = 4;
-    let dir = run_dir("sharded");
-    let mut cfg = CoordinatorConfig::new(&dir, shards);
-    cfg.seed = SEED;
-    cfg.scale = SCALE;
-    cfg.threads = 2;
-    cfg.worker_exe = Some(worker_exe());
-    cfg.storage_chaos = Some((0x57A6_E105, 0.02));
-    let reg = Registry::new();
-    let report = run_sharded(&cfg, &reg).expect("chaos shards must respawn clean and finish");
-    assert_identical(&report, "sharded chaos merge");
-    // The published report survives chaos too: temp + rename, whole bytes.
-    assert_eq!(
-        std::fs::read_to_string(dir.join(REPORT_FILE)).unwrap(),
-        report
-    );
-    // After the run every shard is sealed and its journal replays clean.
-    for shard in 0..shards {
-        let sd = shard_dir(&dir, shard);
-        assert!(is_done(&sd), "shard {shard} has no done marker");
-        assert_valid_prefix(&sd, &format!("sharded chaos shard {shard}"));
-    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
